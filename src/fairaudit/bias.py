@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import ScoredRecord
+from .datagen import Population, write_population_csv
 from .errors import DegenerateDatasetError, ValidationError
 
 
@@ -23,9 +22,6 @@ class LabelPolicy:
             t = getattr(self, name)
             if not 0.0 <= t <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {t}")
-
-    def threshold_for(self, group: int) -> float:
-        return self.threshold_group1 if group == 1 else self.threshold_group0
 
 
 @dataclass(frozen=True)
@@ -44,22 +40,6 @@ class SamplePolicy:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-
-    def inclusion_probability(self, group: int, score: float) -> float:
-        high = score >= self.cutoff
-        if group == 1:
-            return self.p_group1_high if high else self.p_group1_low
-        return self.p_group0_high if high else self.p_group0_low
-
-
-@dataclass(frozen=True)
-class LabeledRecord:
-    record: ScoredRecord
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -91,30 +71,33 @@ ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
                   BiasSpec(False, True), BiasSpec(True, True))
 
 
-def apply_label_policy(pop: list[ScoredRecord], policy: LabelPolicy) -> list[LabeledRecord]:
+def apply_label_policy(pop: Population, policy: LabelPolicy) -> Population:
     """Label each record 1 iff its score reaches its group's threshold; order preserved."""
     if not pop:
         raise ValidationError("population must be non-empty")
-    return [LabeledRecord(r, int(r.score >= policy.threshold_for(r.group))) for r in pop]
+    thresholds = np.array([policy.threshold_group0, policy.threshold_group1])
+    return replace(pop, label=pop.score >= thresholds[pop.group])
 
 
-def apply_sample_policy(pop: list[ScoredRecord], policy: SamplePolicy,
-                        seed: int) -> list[ScoredRecord]:
+def apply_sample_policy(pop: Population, policy: SamplePolicy, seed: int) -> Population:
     """Keep each record independently with its policy probability; order preserved."""
     if not pop:
         raise ValidationError("population must be non-empty")
     rng = np.random.default_rng(seed)
     u = rng.random(len(pop))
-    return [r for r, x in zip(pop, u)
-            if x < policy.inclusion_probability(r.group, r.score)]
+    # p[group, score band], band 1 = at or above the cutoff
+    p = np.array([[policy.p_group0_low, policy.p_group0_high],
+                  [policy.p_group1_low, policy.p_group1_high]])
+    high = (pop.score >= policy.cutoff).astype(np.int64)
+    return pop.take(u < p[pop.group, high])
 
 
-def build_dataset(pop: list[ScoredRecord], spec: BiasSpec, seed: int, *,
+def build_dataset(pop: Population, spec: BiasSpec, seed: int, *,
                   biased_label_policy: LabelPolicy = BIASED_LABEL_POLICY,
                   unbiased_label_policy: LabelPolicy = UNBIASED_LABEL_POLICY,
                   biased_sample_policy: SamplePolicy = BIASED_SAMPLE_POLICY,
                   unbiased_sample_policy: SamplePolicy = UNBIASED_SAMPLE_POLICY,
-                  min_cell_count: int = 10) -> list[LabeledRecord]:
+                  min_cell_count: int = 10) -> Population:
     """Materialize one bias-grid cell: sample first, then label.
 
     Raises DegenerateDatasetError when any (group, label) cell ends up with
@@ -128,27 +111,18 @@ def build_dataset(pop: list[ScoredRecord], spec: BiasSpec, seed: int, *,
     if not kept:
         raise DegenerateDatasetError("sampling kept no records")
     labeled = apply_label_policy(kept, label_policy)
-    counts = Counter((lr.record.group, lr.label) for lr in labeled)
-    for g in (0, 1):
-        for y in (0, 1):
-            if counts[(g, y)] < min_cell_count:
-                raise DegenerateDatasetError(
-                    f"cell (group={g}, label={y}) has {counts[(g, y)]} records, "
-                    f"fewer than the minimum {min_cell_count}")
+    # cell 2 * group + label, in sorted (group, label) order
+    counts = np.bincount(2 * labeled.group + labeled.label, minlength=4).tolist()
+    for k, count in enumerate(counts):
+        if count < min_cell_count:
+            raise DegenerateDatasetError(
+                f"cell (group={k // 2}, label={k % 2}) has {count} records, "
+                f"fewer than the minimum {min_cell_count}")
     return labeled
 
 
-def write_labeled_csv(records: list[LabeledRecord], path) -> None:
+def write_labeled_csv(data: Population, path) -> None:
     """Write labeled records as CSV: id,group,score,label,f0,..."""
-    import csv
-
-    if not records:
-        raise ValidationError("cannot export an empty dataset")
-    d = len(records[0].record.features)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "group", "score", "label"] + [f"f{j}" for j in range(d)])
-        for lr in records:
-            r = lr.record
-            writer.writerow([r.id, r.group, format(r.score, ".12g"), lr.label]
-                            + [format(f, ".12g") for f in r.features])
+    if data.label is None:
+        raise ValidationError("cannot export an unlabeled dataset as labeled")
+    write_population_csv(data, path)

@@ -78,12 +78,12 @@ def cmd_generate(args) -> int:
     write_population_csv(pop, args.out)
     print(f"wrote {len(pop)} records to {args.out}")
     print(f"{'':12s} {'score>=0.5':>12s} {'score<0.5':>12s} {'total':>10s} {'rate':>8s}")
+    high = pop.score >= 0.5
     for g, label in ((1, "group 1"), (0, "group 0")):
-        members = [r for r in pop if r.group == g]
-        pos = sum(r.score >= 0.5 for r in members)
-        print(f"{label:12s} {pos:12d} {len(members) - pos:12d} {len(members):10d} "
-              f"{pos / len(members):8.3f}")
-    total_pos = sum(r.score >= 0.5 for r in pop)
+        members = pop.group == g
+        pos, total = int((high & members).sum()), int(members.sum())
+        print(f"{label:12s} {pos:12d} {total - pos:12d} {total:10d} {pos / total:8.3f}")
+    total_pos = int(high.sum())
     print(f"{'total':12s} {total_pos:12d} {len(pop) - total_pos:12d} {len(pop):10d}")
     return EXIT_OK
 

@@ -21,22 +21,51 @@ from .errors import EmptySelectionError, ValidationError
 SCORE_CLAMP = 1e-6
 
 
-@dataclass(frozen=True)
-class ScoredRecord:
-    """One individual: group membership, ground-truth score, feature vector."""
+@dataclass(eq=False)
+class Population:
+    """Individuals as aligned columns: id, group, ground-truth score, an
+    (n, d) feature matrix, and, once a label policy has run, a binary label."""
 
-    id: int
-    group: int
-    score: float
-    features: tuple[float, ...]
+    id: np.ndarray
+    group: np.ndarray
+    score: np.ndarray
+    features: np.ndarray
+    label: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.group not in (0, 1):
-            raise ValidationError(f"group must be 0 or 1, got {self.group!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score must lie in [0, 1], got {self.score!r}")
-        if not all(math.isfinite(f) for f in self.features):
+        self.id = np.asarray(self.id, dtype=np.int64)
+        self.group = _binary("group", self.group)
+        self.score = np.asarray(self.score, dtype=float)
+        self.features = np.asarray(self.features, dtype=float)
+        if self.label is not None:
+            self.label = _binary("label", self.label)
+        n = self.id.size
+        if self.features.ndim != 2:
+            raise ValidationError("features must be an (n, d) matrix")
+        for name in ("group", "score", "features", "label"):
+            column = getattr(self, name)
+            if column is not None and len(column) != n:
+                raise ValidationError(f"{name} is not aligned with id")
+        if not ((self.score >= 0.0) & (self.score <= 1.0)).all():
+            raise ValidationError("score must lie in [0, 1]")
+        if not np.isfinite(self.features).all():
             raise ValidationError("features must all be finite")
+
+    def __len__(self) -> int:
+        return self.id.size
+
+    def take(self, index) -> "Population":
+        """The rows an index array or boolean mask selects, in its order."""
+        return Population(self.id[index], self.group[index], self.score[index],
+                          self.features[index],
+                          None if self.label is None else self.label[index])
+
+
+def _binary(name: str, values) -> np.ndarray:
+    values = np.asarray(values)
+    if not np.isin(values, (0, 1)).all():
+        raise ValidationError(f"{name} must be 0 or 1")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -101,7 +130,7 @@ def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     return s
 
 
-def generate_population(spec: PopulationSpec) -> list[ScoredRecord]:
+def generate_population(spec: PopulationSpec) -> Population:
     """Generate a seeded population calibrated to the spec's marginal rates.
 
     Informative features are noisy linear functions of logit(score); the last
@@ -133,54 +162,54 @@ def generate_population(spec: PopulationSpec) -> list[ScoredRecord]:
     g_std = (groups - groups.mean()) / groups.std()
     feats[:, d - 1] = rho * g_std + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
 
-    return [
-        ScoredRecord(i, int(groups[i]), float(scores[i]), tuple(map(float, feats[i])))
-        for i in range(n)
-    ]
+    return Population(np.arange(n), groups, scores, feats)
 
 
-def make_base_dataset_A(pop: list[ScoredRecord], seed: int) -> list[ScoredRecord]:
+def make_base_dataset_A(pop: Population, seed: int) -> Population:
     """Keep only group-0 records and reassign group by an independent fair coin.
 
     Scores and features are left untouched, so after reassignment neither
     carries any group signal: both the group split and the per-group positive
     rates are balanced in expectation.
     """
-    whites = [r for r in pop if r.group == 0]
+    whites = pop.take(pop.group == 0)
     if not whites:
         raise EmptySelectionError("population contains no group-0 records")
     rng = np.random.default_rng(seed)
-    coins = rng.integers(0, 2, size=len(whites))
-    return [replace(r, group=int(c)) for r, c in zip(whites, coins)]
+    return replace(whites, group=rng.integers(0, 2, size=len(whites)))
 
 
-def make_base_dataset_B(pop: list[ScoredRecord]) -> list[ScoredRecord]:
+def make_base_dataset_B(pop: Population) -> Population:
     """Identity: the unmodified population is the base dataset."""
     if not pop:
         raise ValidationError("population must be non-empty")
-    return list(pop)
+    return pop
 
 
-def population_header(feature_dim: int) -> list[str]:
-    return ["id", "group", "score"] + [f"f{j}" for j in range(feature_dim)]
+def write_population_csv(pop: Population, path) -> None:
+    """Write rows as CSV: id,group,score[,label],f0,...  Reals keep 12 significant digits.
 
-
-def write_population_csv(records: list[ScoredRecord], path) -> None:
-    """Write records as CSV: id,group,score,f0,...  Reals keep 12 significant digits."""
-    if not records:
+    The label column is present iff the population is labeled.
+    """
+    if not pop:
         raise ValidationError("cannot export an empty population")
-    d = len(records[0].features)
+    header = ["id", "group", "score"]
+    columns = [pop.id.tolist(), pop.group.tolist(), pop.score.tolist()]
+    if pop.label is not None:
+        header.append("label")
+        columns.append(pop.label.tolist())
+    header += [f"f{j}" for j in range(pop.features.shape[1])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(population_header(d))
-        for r in records:
-            writer.writerow([r.id, r.group, format(r.score, ".12g")]
-                            + [format(f, ".12g") for f in r.features])
+        writer.writerow(header)
+        for *row, features in zip(*columns, pop.features.tolist()):
+            row[2] = format(row[2], ".12g")  # the score
+            writer.writerow(row + [format(x, ".12g") for x in features])
 
 
-def positive_rate(records: list[ScoredRecord], group: int, threshold: float = 0.5) -> float:
+def positive_rate(pop: Population, group: int, threshold: float = 0.5) -> float:
     """Fraction of a group's records with score >= threshold."""
-    members = [r for r in records if r.group == group]
-    if not members:
+    scores = pop.score[pop.group == group]
+    if not scores.size:
         raise EmptySelectionError(f"no records in group {group}")
-    return sum(r.score >= threshold for r in members) / len(members)
+    return int(np.count_nonzero(scores >= threshold)) / scores.size

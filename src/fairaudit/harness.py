@@ -19,7 +19,7 @@ import numpy as np
 from .bias import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                    UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
                    LabelPolicy, SamplePolicy, build_dataset)
-from .datagen import (PopulationSpec, ScoredRecord, generate_population,
+from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
 from .errors import (DegenerateDatasetError, ExperimentError,
                      NumericalFailureError, ValidationError)
@@ -97,73 +97,63 @@ def _sample_policy_dict(p: SamplePolicy) -> dict:
             "p_group1_low": p.p_group1_low}
 
 
-def _label_policy_from(section) -> LabelPolicy:
-    return LabelPolicy(threshold_group0=section.getfloat("threshold_group0"),
-                       threshold_group1=section.getfloat("threshold_group1"))
-
-
-def _sample_policy_from(section) -> SamplePolicy:
-    return SamplePolicy(cutoff=section.getfloat("cutoff"),
-                        p_group0_high=section.getfloat("p_group0_high"),
-                        p_group0_low=section.getfloat("p_group0_low"),
-                        p_group1_high=section.getfloat("p_group1_high"),
-                        p_group1_low=section.getfloat("p_group1_low"))
+_LABEL_POLICY_KEYS = {k: k for k in ("threshold_group0", "threshold_group1")}
+_SAMPLE_POLICY_KEYS = {k: k for k in ("cutoff", "p_group0_high", "p_group0_low",
+                                      "p_group1_high", "p_group1_low")}
+# every config section: the ExperimentConfig field it sets ("" = ExperimentConfig
+# itself) and {config key: field name}; any other section or key is rejected
+_CONFIG_NAMES = {
+    "experiment": ("", {"name": "experiment", "trials": "trials", "base_seed": "base_seed",
+                        "min_cell_count": "min_cell_count"}),
+    "population": ("population", {
+        "n_group0": "n_group0", "n_group1": "n_group1",
+        "positive_rate_group0": "target_positive_rate_group0",
+        "positive_rate_group1": "target_positive_rate_group1",
+        "feature_dim": "feature_dim", "proxy_strength": "proxy_strength",
+        "noise_scale": "noise_scale", "score_concentration": "score_concentration"}),
+    "label_policy.biased": ("biased_label_policy", _LABEL_POLICY_KEYS),
+    "label_policy.unbiased": ("unbiased_label_policy", _LABEL_POLICY_KEYS),
+    "sample_policy.biased": ("biased_sample_policy", _SAMPLE_POLICY_KEYS),
+    "sample_policy.unbiased": ("unbiased_sample_policy", _SAMPLE_POLICY_KEYS),
+    "model": ("model", {
+        "lambda": "lam", "alpha": "alpha", "max_iters": "max_iters", "tolerance": "tolerance",
+        "train_fraction": "train_fraction", "include_group_feature": "include_group_feature",
+        "prediction_threshold": "prediction_threshold"}),
+}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from an INI-style config file."""
+    """Read an ExperimentConfig from an INI-style config file.
+
+    Each value is parsed as the type of its default; keys a section leaves
+    out keep their defaults.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ValidationError(f"config file not found or unreadable: {path}")
+    defaults = ExperimentConfig()
+    kwargs = {}
     try:
-        exp = parser["experiment"] if "experiment" in parser else {}
-        defaults = ExperimentConfig()
-        kwargs = dict(
-            experiment=exp.get("name", defaults.experiment),
-            trials=int(exp.get("trials", defaults.trials)),
-            base_seed=int(exp.get("base_seed", defaults.base_seed)),
-            min_cell_count=int(exp.get("min_cell_count", defaults.min_cell_count)),
-        )
-        if "population" in parser:
-            pop = parser["population"]
-            dp = DEFAULT_POPULATION
-            kwargs["population"] = PopulationSpec(
-                n_group0=pop.getint("n_group0", dp.n_group0),
-                n_group1=pop.getint("n_group1", dp.n_group1),
-                target_positive_rate_group0=pop.getfloat("positive_rate_group0",
-                                                         dp.target_positive_rate_group0),
-                target_positive_rate_group1=pop.getfloat("positive_rate_group1",
-                                                         dp.target_positive_rate_group1),
-                feature_dim=pop.getint("feature_dim", dp.feature_dim),
-                proxy_strength=pop.getfloat("proxy_strength", dp.proxy_strength),
-                noise_scale=pop.getfloat("noise_scale", dp.noise_scale),
-                score_concentration=pop.getfloat("score_concentration",
-                                                 dp.score_concentration),
-            )
-        if "label_policy.biased" in parser:
-            kwargs["biased_label_policy"] = _label_policy_from(parser["label_policy.biased"])
-        if "label_policy.unbiased" in parser:
-            kwargs["unbiased_label_policy"] = _label_policy_from(parser["label_policy.unbiased"])
-        if "sample_policy.biased" in parser:
-            kwargs["biased_sample_policy"] = _sample_policy_from(parser["sample_policy.biased"])
-        if "sample_policy.unbiased" in parser:
-            kwargs["unbiased_sample_policy"] = _sample_policy_from(
-                parser["sample_policy.unbiased"])
-        if "model" in parser:
-            sec = parser["model"]
-            dm = ModelParams()
-            kwargs["model"] = ModelParams(
-                lam=sec.getfloat("lambda", dm.lam),
-                alpha=sec.getfloat("alpha", dm.alpha),
-                max_iters=sec.getint("max_iters", dm.max_iters),
-                tolerance=sec.getfloat("tolerance", dm.tolerance),
-                train_fraction=sec.getfloat("train_fraction", dm.train_fraction),
-                include_group_feature=sec.getboolean("include_group_feature",
-                                                     dm.include_group_feature),
-                prediction_threshold=sec.getfloat("prediction_threshold",
-                                                  dm.prediction_threshold),
-            )
+        for name in parser.sections():
+            if name not in _CONFIG_NAMES:
+                raise ValidationError(f"invalid config {path}: unknown section [{name}]")
+            target, fields = _CONFIG_NAMES[name]
+            section = parser[name]
+            unknown = [key for key in section if key not in fields]
+            if unknown:
+                raise ValidationError(f"invalid config {path}: unknown key(s) "
+                                      f"{', '.join(unknown)} in [{name}]")
+            base = getattr(defaults, target) if target else defaults
+            values = {}
+            for key in section:
+                default = getattr(base, fields[key])
+                values[fields[key]] = (section.getboolean(key) if type(default) is bool
+                                       else type(default)(section[key]))
+            if target:
+                kwargs[target] = replace(base, **values)
+            else:
+                kwargs.update(values)
         return ExperimentConfig(**kwargs)
     except (ValueError, configparser.Error) as e:
         raise ValidationError(f"invalid config {path}: {e}") from e
@@ -176,7 +166,7 @@ def bundled_config_path(name: str):
     return files("fairaudit").joinpath("configs", name)
 
 
-def build_base(config: ExperimentConfig) -> list[ScoredRecord]:
+def build_base(config: ExperimentConfig) -> Population:
     """Generate the population and construct the experiment's base dataset."""
     pop_spec = replace(config.population, seed=stable_hash(config.base_seed, "population"))
     pop = generate_population(pop_spec)
@@ -186,7 +176,7 @@ def build_base(config: ExperimentConfig) -> list[ScoredRecord]:
 
 
 def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
-              base: list[ScoredRecord] | None = None) -> MetricReport:
+              base: Population | None = None) -> MetricReport:
     """One pipeline pass: build -> split -> fit -> predict -> audit."""
     if base is None:
         base = build_base(config)

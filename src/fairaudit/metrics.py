@@ -51,13 +51,12 @@ class GroupedOutcomes:
             arr = getattr(self, name)
             if not np.isin(arr, (0, 1)).all():
                 raise ValidationError(f"{name} must be binary")
-        if ((self.score_hat < 0.0) | (self.score_hat > 1.0)).any():
+        if not ((self.score_hat >= 0.0) & (self.score_hat <= 1.0)).all():
             raise ValidationError("score_hat must lie in [0, 1]")
 
     @classmethod
     def from_labeled(cls, records, predictions) -> "GroupedOutcomes":
-        return cls(group=np.array([lr.record.group for lr in records]),
-                   label=np.array([lr.label for lr in records]),
+        return cls(group=records.group, label=records.label,
                    score_hat=predictions.score_hat,
                    label_hat=predictions.label_hat)
 

@@ -10,13 +10,13 @@ internally; the intercept is unpenalized.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .bias import LabeledRecord
+from .datagen import Population
 from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 
 
@@ -103,8 +103,8 @@ class Predictions:
     threshold: float
 
 
-def split(data: list[LabeledRecord], train_fraction: float,
-          seed: int) -> tuple[list[LabeledRecord], list[LabeledRecord]]:
+def split(data: Population, train_fraction: float,
+          seed: int) -> tuple[Population, Population]:
     """Disjoint, exhaustive partition stratified by (group, label).
 
     Per-cell train counts are within one record of the exact fraction
@@ -113,48 +113,37 @@ def split(data: list[LabeledRecord], train_fraction: float,
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
             f"train_fraction must lie strictly inside (0, 1), got {train_fraction}")
-    cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, lr in enumerate(data):
-        cells[(lr.record.group, lr.label)].append(i)
-    for key, idx in sorted(cells.items()):
-        if len(idx) < 2:
+    # stratum key 2 * group + label orders cells as sorted (group, label) pairs
+    cell = 2 * data.group + data.label
+    sizes = np.bincount(cell, minlength=4).tolist()
+    keys = [k for k in range(4) if sizes[k]]
+    for k in keys:
+        if sizes[k] < 2:
             raise DegenerateDatasetError(
-                f"cell (group={key[0]}, label={key[1]}) has {len(idx)} records, "
+                f"cell (group={k // 2}, label={k % 2}) has {sizes[k]} records, "
                 "need at least 2 to stratify")
 
-    n = len(data)
-    total_train = int(round(train_fraction * n))
-    keys = sorted(cells)
-    ideal = [train_fraction * len(cells[k]) for k in keys]
-    base = [int(np.floor(x)) for x in ideal]
-    extras = total_train - sum(base)
+    total_train = int(round(train_fraction * len(data)))
+    ideal = [train_fraction * sizes[k] for k in keys]
+    take = [math.floor(x) for x in ideal]
+    extras = total_train - sum(take)
     # hand extras to the largest fractional remainders, ties by cell key order
-    order = sorted(range(len(keys)), key=lambda i: (-(ideal[i] - base[i]), i))
-    take = dict(zip(keys, base))
+    order = sorted(range(len(keys)), key=lambda i: (-(ideal[i] - take[i]), i))
     for i in order[:extras]:
-        take[keys[i]] += 1
+        take[i] += 1
 
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    for k in keys:
-        idx = np.asarray(cells[k])
-        perm = rng.permutation(len(idx))
-        train_idx.extend(idx[perm[:take[k]]])
-    train_set = set(train_idx)
-    train = [data[i] for i in range(n) if i in train_set]
-    test = [data[i] for i in range(n) if i not in train_set]
-    return train, test
+    train = np.zeros(len(data), dtype=bool)
+    for k, t in zip(keys, take):
+        idx = np.flatnonzero(cell == k)
+        train[idx[rng.permutation(idx.size)[:t]]] = True
+    return data.take(train), data.take(~train)
 
 
-def _design_matrix(records: list, include_group: bool) -> tuple[np.ndarray, np.ndarray]:
-    scored = [lr.record if isinstance(lr, LabeledRecord) else lr for lr in records]
-    labels = np.array([lr.label if isinstance(lr, LabeledRecord) else 0
-                       for lr in records], dtype=float)
-    X = np.array([r.features for r in scored], dtype=float)
+def _design_matrix(data: Population, include_group: bool) -> np.ndarray:
     if include_group:
-        g = np.array([r.group for r in scored], dtype=float)
-        X = np.column_stack([X, g])
-    return X, labels
+        return np.column_stack([data.features, data.group.astype(float)])
+    return data.features
 
 
 def _soft(x: float, threshold: float) -> float:
@@ -199,12 +188,15 @@ def subgradient_violation(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
     return float(viol)
 
 
-def fit(train: list[LabeledRecord], params: ModelParams) -> Model:
+def fit(train: Population, params: ModelParams) -> Model:
     """Fit elastic-net logistic regression on standardized features."""
     if not train:
         raise ValidationError("training set must be non-empty")
-    X_raw, y = _design_matrix(train, params.include_group_feature)
-    if X_raw.ndim != 2 or X_raw.shape[1] == 0:
+    if train.label is None:
+        raise ValidationError("training set must be labeled")
+    X_raw = _design_matrix(train, params.include_group_feature)
+    y = train.label.astype(float)
+    if X_raw.shape[1] == 0:
         raise ValidationError("training set must have at least one feature")
     n, m = X_raw.shape
     mu = X_raw.mean(axis=0)
@@ -278,9 +270,9 @@ def fit(train: list[LabeledRecord], params: ModelParams) -> Model:
                  n_iters=iters, objective_history=history)
 
 
-def predict(model: Model, records: list, threshold: float | None = None) -> Predictions:
+def predict(model: Model, records: Population, threshold: float | None = None) -> Predictions:
     """Score records with the fitted model and threshold into labels (ties map to 1)."""
-    X_raw, _ = _design_matrix(records, model.params.include_group_feature)
+    X_raw = _design_matrix(records, model.params.include_group_feature)
     if X_raw.shape[1] != len(model.coefficients):
         raise ValidationError(
             f"feature dimension mismatch: model has {len(model.coefficients)}, "

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from fairaudit import GroupedOutcomes
+from fairaudit import GroupedOutcomes, Population
+
+
+def make_population(groups, scores, features=None, labels=None):
+    """Population with ids 0..n-1; features default to two zero columns."""
+    n = len(groups)
+    if features is None:
+        features = np.zeros((n, 2))
+    return Population(np.arange(n), groups, scores, features, labels)
+
+
+def same_population(a, b):
+    """True iff every column of a and b holds the same values (labels included)."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("id", "group", "score", "features", "label"))
 
 
 def build_outcomes(cells, scores_equal_labels=True):

@@ -1,10 +1,13 @@
-"""Independent brute-force metric implementations (explicit loops over records).
+"""Independent brute-force references (explicit loops over records): the six
+metrics, and the sample -> label -> split pipeline.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
 """
 
 import math
+
+import numpy as np
 
 
 def _rows(data):
@@ -108,3 +111,46 @@ ORACLES = {
     "disparate_impact": disparate_impact_oracle,
     "nmi": nmi_oracle,
 }
+
+
+def sample_label_split_oracle(pop, sample_policy, label_policy, sample_seed,
+                              train_fraction, split_seed):
+    """Train and test rows (id, group, score, features, label) built one row at a time.
+
+    Draws the same random numbers as build_dataset and split: one uniform per
+    row, then one permutation per present (group, label) cell in sorted order.
+    Skips the minimum cell-count checks.
+    """
+    rows = zip(pop.id.tolist(), pop.group.tolist(), pop.score.tolist(),
+               pop.features.tolist())
+    u = np.random.default_rng(sample_seed).random(len(pop)).tolist()
+    kept = []
+    for (rid, group, score, features), x in zip(rows, u):
+        high = score >= sample_policy.cutoff
+        if group == 1:
+            p = sample_policy.p_group1_high if high else sample_policy.p_group1_low
+            threshold = label_policy.threshold_group1
+        else:
+            p = sample_policy.p_group0_high if high else sample_policy.p_group0_low
+            threshold = label_policy.threshold_group0
+        if x < p:
+            kept.append((rid, group, score, features, int(score >= threshold)))
+
+    cells = {}
+    for i, (_, group, _, _, label) in enumerate(kept):
+        cells.setdefault((group, label), []).append(i)
+    keys = sorted(cells)
+    ideal = [train_fraction * len(cells[k]) for k in keys]
+    take = [math.floor(x) for x in ideal]
+    extras = int(round(train_fraction * len(kept))) - sum(take)
+    order = sorted(range(len(keys)), key=lambda i: (-(ideal[i] - take[i]), i))
+    for i in order[:extras]:
+        take[i] += 1
+    rng = np.random.default_rng(split_seed)
+    in_train = set()
+    for k, t in zip(keys, take):
+        perm = rng.permutation(len(cells[k])).tolist()
+        in_train.update(cells[k][j] for j in perm[:t])
+    train = [row for i, row in enumerate(kept) if i in in_train]
+    test = [row for i, row in enumerate(kept) if i not in in_train]
+    return train, test

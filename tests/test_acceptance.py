@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairaudit import (BIASED_SAMPLE_POLICY, GroupedOutcomes, LabeledRecord,
-                       ModelParams, ScoredRecord, apply_sample_policy, audit,
+from fairaudit import (BIASED_SAMPLE_POLICY, GroupedOutcomes, ModelParams,
+                       apply_sample_policy, audit,
                        bundled_config_path, fit, load_config,
                        normalized_mutual_information, run_experiment)
 from fairaudit.cli import main
@@ -20,7 +20,7 @@ from fairaudit.metrics import (FAIR_POINTS, METRIC_NAMES, JointCounts, entropy,
                                nmi_from_counts)
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from oracles import ORACLES
-from conftest import build_outcomes, random_outcomes
+from conftest import build_outcomes, make_population, random_outcomes
 
 
 def report_line(name, ok):
@@ -149,15 +149,16 @@ def test_gradient_and_subgradient_optimality():
             worst_rel = max(worst_rel, abs(g - f) / max(1.0, abs(f)))
 
     # subgradient optimality of an actual fit
-    data = []
-    for i in range(400):
+    features, labels, groups = [], [], []
+    for _ in range(400):
         x = rng.normal(size=3)
-        label = int(expit(x[0] - 0.5 * x[2]) > rng.random())
-        data.append(LabeledRecord(ScoredRecord(i, int(rng.integers(0, 2)),
-                                               0.5, tuple(x)), label))
+        features.append(x)
+        labels.append(int(expit(x[0] - 0.5 * x[2]) > rng.random()))
+        groups.append(int(rng.integers(0, 2)))
+    data = make_population(groups, [0.5] * 400, features, labels)
     params = ModelParams(lam=0.02, alpha=0.6, tolerance=1e-9, max_iters=2000)
     model = fit(data, params)
-    X_raw, y = _design_matrix(data, params.include_group_feature)
+    X_raw, y = _design_matrix(data, params.include_group_feature), data.label
     Xs = (X_raw - model.feature_means) / model.feature_scales
     viol = subgradient_violation(Xs, y, model.coefficients, model.intercept,
                                  params.lam, params.alpha)
@@ -168,20 +169,20 @@ def test_gradient_and_subgradient_optimality():
 
 def test_sampling_policy_statistics():
     rng = np.random.default_rng(11)
-    pop = []
+    groups, scores = [], []
     n = 100_000
-    for i in range(n):
-        group = int(rng.integers(0, 2))
-        score = float(rng.random())
-        pop.append(ScoredRecord(i, group, score, (0.0, 0.0)))
-    kept = {r.id for r in apply_sample_policy(pop, BIASED_SAMPLE_POLICY, seed=13)}
+    for _ in range(n):
+        groups.append(int(rng.integers(0, 2)))
+        scores.append(float(rng.random()))
+    pop = make_population(groups, scores)
+    kept = np.isin(pop.id, apply_sample_policy(pop, BIASED_SAMPLE_POLICY, seed=13).id)
     ok = True
     for group in (0, 1):
         for high in (True, False):
-            p = BIASED_SAMPLE_POLICY.inclusion_probability(group, 0.9 if high else 0.1)
-            band = [r for r in pop if r.group == group and (r.score >= 0.5) == high]
-            got = sum(1 for r in band if r.id in kept) / len(band)
-            sd = math.sqrt(p * (1 - p) / len(band))
+            p = getattr(BIASED_SAMPLE_POLICY, f"p_group{group}_{'high' if high else 'low'}")
+            band = (pop.group == group) & ((pop.score >= 0.5) == high)
+            got = np.count_nonzero(kept & band) / np.count_nonzero(band)
+            sd = math.sqrt(p * (1 - p) / np.count_nonzero(band))
             if abs(got - p) > 3 * sd:
                 ok = False
     report_line("sampling statistics: inclusion rates within 3 binomial SD "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,21 +7,27 @@ import pytest
 from fairaudit import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY,
                        UNBIASED_SAMPLE_POLICY, BiasSpec, LabelPolicy,
-                       PopulationSpec, SamplePolicy, ScoredRecord,
-                       apply_label_policy, apply_sample_policy, build_dataset,
-                       generate_population)
+                       PopulationSpec, SamplePolicy, apply_label_policy,
+                       apply_sample_policy, build_dataset, generate_population,
+                       make_base_dataset_A, split)
 from fairaudit.bias import ALL_BIAS_SPECS
 from fairaudit.datagen import positive_rate
 from fairaudit.errors import DegenerateDatasetError, ValidationError
+from conftest import make_population, same_population
+from oracles import sample_label_split_oracle
 
 
-def rec(group, score, rid=0):
-    return ScoredRecord(rid, group, score, (0.0, 0.0))
+def cells(*blocks):
+    """Population from (group, score, count) blocks, ids in block order."""
+    groups, scores = [], []
+    for group, score, count in blocks:
+        groups += [group] * count
+        scores += [score] * count
+    return make_population(groups, scores)
 
 
-def labeled_rate(records, group):
-    hits = [lr.label for lr in records if lr.record.group == group]
-    return sum(hits) / len(hits)
+def labeled_rate(data, group):
+    return data.label[data.group == group].mean()
 
 
 @pytest.fixture(scope="module")
@@ -43,76 +50,75 @@ class TestLabelPolicy:
         (0, 0.0, 0),
     ])
     def test_biased_policy_examples(self, group, score, expected):
-        out = apply_label_policy([rec(group, score)], BIASED_LABEL_POLICY)
-        assert out[0].label == expected
+        out = apply_label_policy(make_population([group], [score]), BIASED_LABEL_POLICY)
+        assert out.label[0] == expected
 
     def test_unbiased_policy_is_group_blind(self):
         for score in (0.0, 0.49, 0.5, 0.51, 1.0):
-            a = apply_label_policy([rec(0, score)], UNBIASED_LABEL_POLICY)[0].label
-            b = apply_label_policy([rec(1, score)], UNBIASED_LABEL_POLICY)[0].label
+            a = apply_label_policy(make_population([0], [score]), UNBIASED_LABEL_POLICY).label[0]
+            b = apply_label_policy(make_population([1], [score]), UNBIASED_LABEL_POLICY).label[0]
             assert a == b == int(score >= 0.5)
 
     def test_monotone_in_score(self):
-        records = [rec(1, s, i) for i, s in enumerate(np.linspace(0, 1, 101))]
-        labels = [lr.label for lr in apply_label_policy(records, BIASED_LABEL_POLICY)]
+        records = make_population([1] * 101, np.linspace(0, 1, 101))
+        labels = apply_label_policy(records, BIASED_LABEL_POLICY).label.tolist()
         assert labels == sorted(labels)
 
     def test_order_and_records_preserved(self):
-        records = [rec(i % 2, 0.1 * i, i) for i in range(10)]
+        records = make_population([i % 2 for i in range(10)], [0.1 * i for i in range(10)])
         out = apply_label_policy(records, UNBIASED_LABEL_POLICY)
-        assert [lr.record for lr in out] == records
+        assert same_population(replace(out, label=None), records)
 
     def test_idempotent(self):
-        records = [rec(i % 2, 0.13 * (i % 8), i) for i in range(16)]
+        records = make_population([i % 2 for i in range(16)],
+                                  [0.13 * (i % 8) for i in range(16)])
         once = apply_label_policy(records, BIASED_LABEL_POLICY)
         again = apply_label_policy(records, BIASED_LABEL_POLICY)
-        assert once == again
+        assert same_population(once, again)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             LabelPolicy(threshold_group0=-0.1, threshold_group1=0.5)
         with pytest.raises(ValidationError):
-            apply_label_policy([], UNBIASED_LABEL_POLICY)
+            apply_label_policy(make_population([], []), UNBIASED_LABEL_POLICY)
 
 
 class TestSamplePolicy:
     def test_result_is_ordered_subsequence(self, population):
         kept = apply_sample_policy(population, BIASED_SAMPLE_POLICY, seed=5)
-        position = {r.id: i for i, r in enumerate(population)}
-        ids = [position[r.id] for r in kept]
+        position = {rid: i for i, rid in enumerate(population.id.tolist())}
+        ids = [position[rid] for rid in kept.id.tolist()]
         assert ids == sorted(ids)
-        originals = {r.id: r for r in population}
-        assert all(originals[r.id] == r for r in kept)
+        assert same_population(kept, population.take(np.array(ids, dtype=int)))
 
     def test_group1_always_kept_under_biased_policy(self, population):
         kept = apply_sample_policy(population, BIASED_SAMPLE_POLICY, seed=5)
-        n1 = sum(1 for r in population if r.group == 1)
-        assert sum(1 for r in kept if r.group == 1) == n1
+        n1 = np.count_nonzero(population.group == 1)
+        assert np.count_nonzero(kept.group == 1) == n1
 
     def test_keep_all_is_identity(self, population):
-        assert apply_sample_policy(population, KEEP_ALL_SAMPLE_POLICY, 3) == population
+        assert same_population(apply_sample_policy(population, KEEP_ALL_SAMPLE_POLICY, 3),
+                               population)
 
     def test_determinism(self, population):
         a = apply_sample_policy(population, UNBIASED_SAMPLE_POLICY, seed=8)
         b = apply_sample_policy(population, UNBIASED_SAMPLE_POLICY, seed=8)
-        assert a == b
+        assert same_population(a, b)
 
     def test_inclusion_rates_match_policy(self, population):
         kept = apply_sample_policy(population, BIASED_SAMPLE_POLICY, seed=17)
-        kept_ids = {r.id for r in kept}
         for group, high, p in [(0, True, 0.8), (0, False, 0.2),
                                (1, True, 1.0), (1, False, 1.0)]:
-            band = [r for r in population
-                    if r.group == group and (r.score >= 0.5) == high]
-            n = len(band)
-            got = sum(1 for r in band if r.id in kept_ids) / n
+            band = (population.group == group) & ((population.score >= 0.5) == high)
+            n = np.count_nonzero(band)
+            got = np.count_nonzero(np.isin(population.id[band], kept.id)) / n
             assert abs(got - p) <= 3 * math.sqrt(p * (1 - p) / n) + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             SamplePolicy(0.5, 1.2, 0.5, 0.5, 0.5)
         with pytest.raises(ValidationError):
-            apply_sample_policy([], UNBIASED_SAMPLE_POLICY, 0)
+            apply_sample_policy(make_population([], []), UNBIASED_SAMPLE_POLICY, 0)
 
 
 class TestBiasSpec:
@@ -125,14 +131,14 @@ class TestBuildDataset:
     def test_dataset1_with_keep_all_labels_base_at_half(self, population):
         out = build_dataset(population, BiasSpec(False, False), seed=2,
                             unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
-        assert [lr.record for lr in out] == population
-        assert all(lr.label == int(lr.record.score >= 0.5) for lr in out)
+        assert same_population(replace(out, label=None), population)
+        assert np.array_equal(out.label, population.score >= 0.5)
 
     def test_composition_sample_then_label(self, population):
         spec = BiasSpec(True, True)
         direct = build_dataset(population, spec, seed=6)
         kept = apply_sample_policy(population, BIASED_SAMPLE_POLICY, seed=6)
-        assert direct == apply_label_policy(kept, BIASED_LABEL_POLICY)
+        assert same_population(direct, apply_label_policy(kept, BIASED_LABEL_POLICY))
 
     def test_label_bias_shifts_rates_as_expected(self, population):
         base = build_dataset(population, BiasSpec(False, False), seed=4,
@@ -155,23 +161,44 @@ class TestBuildDataset:
 
     def test_determinism(self, population):
         spec = BiasSpec(True, True)
-        assert build_dataset(population, spec, 12) == build_dataset(population, spec, 12)
+        assert same_population(build_dataset(population, spec, 12),
+                               build_dataset(population, spec, 12))
 
     def test_degenerate_cell_raises(self):
         # every score below 0.5 in group 1: the (1, 1) cell is empty
-        pop = ([rec(0, 0.2, i) for i in range(40)]
-               + [rec(0, 0.8, 40 + i) for i in range(40)]
-               + [rec(1, 0.2, 80 + i) for i in range(40)])
+        pop = cells((0, 0.2, 40), (0, 0.8, 40), (1, 0.2, 40))
         with pytest.raises(DegenerateDatasetError, match="group=1"):
             build_dataset(pop, BiasSpec(False, False), seed=1,
                           unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
 
     def test_min_cell_count_override(self):
-        pop = ([rec(0, 0.2, i) for i in range(5)]
-               + [rec(0, 0.8, 5 + i) for i in range(5)]
-               + [rec(1, 0.2, 10 + i) for i in range(5)]
-               + [rec(1, 0.8, 15 + i) for i in range(5)])
+        pop = cells((0, 0.2, 5), (0, 0.8, 5), (1, 0.2, 5), (1, 0.8, 5))
         out = build_dataset(pop, BiasSpec(False, False), seed=1,
                             unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY,
                             min_cell_count=5)
         assert len(out) == 20
+
+
+class TestReferencePipeline:
+    @pytest.mark.parametrize("base", ["A", "B"])
+    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
+    def test_build_and_split_match_row_loop(self, spec, base):
+        pop = generate_population(PopulationSpec(
+            n_group0=700, n_group1=300, target_positive_rate_group0=0.5408,
+            target_positive_rate_group1=0.1217, feature_dim=3, seed=41))
+        if base == "A":
+            pop = make_base_dataset_A(pop, seed=43)
+        train, test = split(build_dataset(pop, spec, seed=7), 0.7, seed=8)
+        want = sample_label_split_oracle(
+            pop,
+            BIASED_SAMPLE_POLICY if spec.sample_bias else UNBIASED_SAMPLE_POLICY,
+            BIASED_LABEL_POLICY if spec.label_bias else UNBIASED_LABEL_POLICY,
+            sample_seed=7, train_fraction=0.7, split_seed=8)
+        for got, rows in zip((train, test), want):
+            assert rows, "the reference kept no rows"
+            ids, groups, scores, features, labels = map(list, zip(*rows))
+            assert got.id.tolist() == ids
+            assert got.group.tolist() == groups
+            assert got.score.tolist() == scores
+            assert got.features.tolist() == features
+            assert got.label.tolist() == labels

@@ -136,6 +136,14 @@ class TestAudit:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_nan_score_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text(FIXTURE_CSV_HEADER + "1,1,0.5,1\n0,0,nan,0\n1,0,0.5,0\n")
+        out = tmp_path / "r.json"
+        assert main(["audit", "--input", str(path), "--out", str(out)]) == 3
+        assert "score_hat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_column_exits_3(self, tmp_path, capsys):
         path = tmp_path / "cols.csv"
         path.write_text("group,label,score_hat\n1,1,0.5\n")

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fairaudit import (PopulationSpec, ScoredRecord, generate_population,
+from fairaudit import (Population, PopulationSpec, generate_population,
                        make_base_dataset_A, make_base_dataset_B,
                        write_population_csv)
 from fairaudit.datagen import positive_rate
 from fairaudit.errors import EmptySelectionError, ValidationError
+from conftest import make_population, same_population
 
 
 def small_spec(**overrides):
@@ -33,12 +34,32 @@ class TestValidation:
             small_spec(**{field: value})
 
     def test_record_invariants(self):
-        with pytest.raises(ValidationError):
-            ScoredRecord(0, 0, 1.5, (0.0, 0.0))
-        with pytest.raises(ValidationError):
-            ScoredRecord(0, 2, 0.5, (0.0, 0.0))
-        with pytest.raises(ValidationError):
-            ScoredRecord(0, 1, 0.5, (0.0, float("inf")))
+        with pytest.raises(ValidationError, match="score"):
+            make_population([0], [1.5])
+        with pytest.raises(ValidationError, match="score"):
+            make_population([0], [float("nan")])
+        with pytest.raises(ValidationError, match="group"):
+            make_population([2], [0.5])
+        with pytest.raises(ValidationError, match="finite"):
+            make_population([1], [0.5], [[0.0, float("inf")]])
+        with pytest.raises(ValidationError, match="label"):
+            make_population([1], [0.5], labels=[2])
+        with pytest.raises(ValidationError, match="aligned"):
+            make_population([0, 1], [0.5])
+        with pytest.raises(ValidationError, match="aligned"):
+            make_population([0, 1], [0.5, 0.5], labels=[1])
+        with pytest.raises(ValidationError, match="matrix"):
+            Population([0], [0], [0.5], [0.0])
+
+    def test_take_selects_rows_in_order(self):
+        pop = make_population([0, 1, 1, 0], [0.1, 0.2, 0.3, 0.4],
+                              np.arange(8.0).reshape(4, 2), labels=[1, 0, 1, 0])
+        picked = pop.take(np.array([3, 1]))
+        assert picked.id.tolist() == [3, 1]
+        assert picked.label.tolist() == [0, 0]
+        assert picked.features.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+        masked = pop.take(pop.group == 1)
+        assert len(masked) == 2 and masked.score.tolist() == [0.2, 0.3]
 
 
 class TestGeneratePopulation:
@@ -62,31 +83,31 @@ class TestGeneratePopulation:
 
     def test_determinism(self):
         spec = small_spec(n_group0=500, n_group1=300)
-        assert generate_population(spec) == generate_population(spec)
+        assert same_population(generate_population(spec), generate_population(spec))
 
     def test_seed_changes_output(self):
         a = generate_population(small_spec(n_group0=500, n_group1=300, seed=1))
         b = generate_population(small_spec(n_group0=500, n_group1=300, seed=2))
-        assert a != b
+        assert not same_population(a, b)
 
     def test_record_shape(self):
         pop = generate_population(small_spec(n_group0=200, n_group1=100))
         assert len(pop) == 300
-        assert sorted(r.id for r in pop) == list(range(300))
-        assert all(len(r.features) == 4 for r in pop)
-        assert all(0.0 <= r.score <= 1.0 for r in pop)
+        assert sorted(pop.id.tolist()) == list(range(300))
+        assert pop.features.shape == (300, 4)
+        assert np.all((pop.score >= 0.0) & (pop.score <= 1.0))
 
     @pytest.mark.parametrize("rho", [0.0, 0.4, 0.8, 1.0])
     def test_proxy_correlation(self, rho):
         pop = generate_population(small_spec(proxy_strength=rho))
-        g = np.array([r.group for r in pop], dtype=float)
-        proxy = np.array([r.features[-1] for r in pop])
+        g = pop.group.astype(float)
+        proxy = pop.features[:, -1]
         assert abs(np.corrcoef(g, proxy)[0, 1] - rho) < 0.05
 
     def test_informative_features_track_score(self):
         pop = generate_population(small_spec(noise_scale=0.5))
-        s = np.array([r.score for r in pop])
-        f0 = np.array([r.features[0] for r in pop])
+        s = pop.score
+        f0 = pop.features[:, 0]
         assert np.corrcoef(s, f0)[0, 1] > 0.5
 
 
@@ -95,7 +116,7 @@ class TestBaseDatasetA:
         pop = generate_population(small_spec())
         base = make_base_dataset_A(pop, seed=7)
         assert len(base) == 12000
-        frac1 = np.mean([r.group for r in base])
+        frac1 = np.mean(base.group)
         assert abs(frac1 - 0.5) < 3 * math.sqrt(0.25 / len(base))
 
     def test_rates_balanced_after_reassignment(self):
@@ -106,26 +127,27 @@ class TestBaseDatasetA:
     def test_scores_and_features_unchanged(self):
         pop = generate_population(small_spec(n_group0=400, n_group1=200))
         base = make_base_dataset_A(pop, seed=7)
-        originals = {r.id: r for r in pop if r.group == 0}
-        assert set(r.id for r in base) == set(originals)
-        for r in base:
-            assert r.score == originals[r.id].score
-            assert r.features == originals[r.id].features
+        originals = pop.take(pop.group == 0)
+        assert set(base.id.tolist()) == set(originals.id.tolist())
+        position = {rid: i for i, rid in enumerate(originals.id.tolist())}
+        for i, rid in enumerate(base.id.tolist()):
+            assert base.score[i] == originals.score[position[rid]]
+            assert np.array_equal(base.features[i], originals.features[position[rid]])
 
     def test_no_group0_errors(self):
-        pop = [ScoredRecord(0, 1, 0.5, (0.0, 0.0))]
+        pop = make_population([1], [0.5])
         with pytest.raises(EmptySelectionError):
             make_base_dataset_A(pop, seed=1)
 
     def test_determinism(self):
         pop = generate_population(small_spec(n_group0=400, n_group1=200))
-        assert make_base_dataset_A(pop, 9) == make_base_dataset_A(pop, 9)
+        assert same_population(make_base_dataset_A(pop, 9), make_base_dataset_A(pop, 9))
 
 
 class TestBaseDatasetB:
     def test_identity(self):
         pop = generate_population(small_spec(n_group0=300, n_group1=200))
-        assert make_base_dataset_B(pop) == pop
+        assert same_population(make_base_dataset_B(pop), pop)
 
     def test_rates_preserved(self):
         spec = small_spec()
@@ -138,11 +160,11 @@ class TestBaseDatasetB:
 
     def test_minimum_feature_dim_passes_through(self):
         pop = generate_population(small_spec(n_group0=50, n_group1=50, feature_dim=2))
-        assert make_base_dataset_B(pop) == pop
+        assert same_population(make_base_dataset_B(pop), pop)
 
     def test_empty_errors(self):
         with pytest.raises(ValidationError):
-            make_base_dataset_B([])
+            make_base_dataset_B(make_population([], []))
 
 
 class TestCsvExport:
@@ -154,8 +176,8 @@ class TestCsvExport:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 100
         assert set(rows[0]) == {"id", "group", "score", "f0", "f1", "f2", "f3"}
-        for row, record in zip(rows, pop):
-            assert int(row["id"]) == record.id
-            assert int(row["group"]) == record.group
-            assert float(row["score"]) == pytest.approx(record.score, abs=1e-9)
-            assert float(row["f0"]) == pytest.approx(record.features[0], abs=1e-9)
+        for i, row in enumerate(rows):
+            assert int(row["id"]) == pop.id[i]
+            assert int(row["group"]) == pop.group[i]
+            assert float(row["score"]) == pytest.approx(pop.score[i], abs=1e-9)
+            assert float(row["f0"]) == pytest.approx(pop.features[i, 0], abs=1e-9)

@@ -83,6 +83,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match="invalid config"):
             load_config(path)
 
+    @pytest.mark.parametrize("text,name", [
+        ("[experiment]\nname = A\ntrails = 3\n", "trails"),
+        ("[modle]\nlambda = 0.1\n", "modle"),
+        ("[model]\nlamda = 9\n", "lamda"),
+    ])
+    def test_load_config_rejects_unknown_names(self, tmp_path, text, name):
+        path = tmp_path / "typo.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"unknown .*{name}"):
+            load_config(path)
+
+    def test_load_config_partial_policy_section_keeps_defaults(self, tmp_path):
+        path = tmp_path / "partial.cfg"
+        path.write_text("[label_policy.biased]\nthreshold_group0 = 0.25\n")
+        policy = load_config(path).biased_label_policy
+        assert policy.threshold_group0 == 0.25
+        assert policy.threshold_group1 == BIASED_LABEL_POLICY.threshold_group1
+
     def test_load_config_roundtrip_of_sections(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("\n".join([
@@ -123,7 +141,7 @@ class TestRunTrial:
         cfg = small_config(experiment="A",
                            model=ModelParams(lam=0.01, include_group_feature=True))
         base = build_base(cfg)
-        frac = np.mean([r.group for r in base])
+        frac = np.mean(base.group)
         assert abs(frac - 0.5) < 0.05
         assert len(base) == SMALL_POP.n_group0
 

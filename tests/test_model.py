@@ -1,16 +1,17 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairaudit import (LabeledRecord, Model, ModelParams, ScoredRecord, fit,
-                       predict, split)
+from fairaudit import Model, ModelParams, fit, predict, split
 from fairaudit.model import (penalized_objective, smooth_gradient,
                              subgradient_violation, _design_matrix)
 from fairaudit.errors import DegenerateDatasetError, ValidationError
+from conftest import make_population, same_population
 
 
 def make_labeled(n, seed, d=3, rule=None):
@@ -19,25 +20,26 @@ def make_labeled(n, seed, d=3, rule=None):
     X = rng.normal(size=(n, d))
     if rule is None:
         rule = lambda x: int(x[0] + 0.5 * x[1] > 0)
-    out = []
-    for i in range(n):
-        label = rule(X[i])
-        score = 0.75 if label else 0.25
-        group = int(rng.integers(0, 2))
-        out.append(LabeledRecord(ScoredRecord(i, group, score, tuple(X[i])), label))
-    return out
+    labels = [rule(x) for x in X]
+    groups = [int(rng.integers(0, 2)) for _ in range(n)]
+    scores = [0.75 if label else 0.25 for label in labels]
+    return make_population(groups, scores, X, labels)
 
 
 def balanced_labeled(n, seed, d=3):
     """Records with labels independent of group, noisy features."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
-    out = []
+    labels, groups, scores = [], [], []
     for i in range(n):
-        label = int(expit(1.5 * X[i, 0]) > rng.random())
-        group = int(rng.integers(0, 2))
-        out.append(LabeledRecord(ScoredRecord(i, group, rng.random(), tuple(X[i])), label))
-    return out
+        labels.append(int(expit(1.5 * X[i, 0]) > rng.random()))
+        groups.append(int(rng.integers(0, 2)))
+        scores.append(rng.random())
+    return make_population(groups, scores, X, labels)
+
+
+def cell_counter(data):
+    return Counter(zip(data.group.tolist(), data.label.tolist()))
 
 
 class TestSplit:
@@ -49,15 +51,15 @@ class TestSplit:
     def test_disjoint_and_exhaustive(self):
         data = balanced_labeled(137, 2)
         train, test = split(data, 0.7, seed=3)
-        ids = sorted(lr.record.id for lr in train + test)
-        assert ids == [lr.record.id for lr in data]
-        assert not {lr.record.id for lr in train} & {lr.record.id for lr in test}
+        ids = sorted(train.id.tolist() + test.id.tolist())
+        assert ids == data.id.tolist()
+        assert not set(train.id.tolist()) & set(test.id.tolist())
 
     def test_stratified_within_one(self):
         data = balanced_labeled(211, 5)
         train, _ = split(data, 0.7, seed=9)
-        totals = Counter((lr.record.group, lr.label) for lr in data)
-        got = Counter((lr.record.group, lr.label) for lr in train)
+        totals = cell_counter(data)
+        got = cell_counter(train)
         for cell, n in totals.items():
             assert abs(got[cell] - 0.7 * n) <= 1.0
 
@@ -66,22 +68,16 @@ class TestSplit:
         a1 = split(data, 0.7, seed=4)
         a2 = split(data, 0.7, seed=4)
         b = split(data, 0.7, seed=5)
-        assert a1 == a2
-        assert a1 != b
+        assert all(same_population(x, y) for x, y in zip(a1, a2))
+        assert not all(same_population(x, y) for x, y in zip(a1, b))
 
     def test_small_cell_raises(self):
         data = balanced_labeled(40, 7)
         # shrink one cell to a single record
-        keep = []
-        seen = 0
-        for lr in data:
-            if lr.record.group == 1 and lr.label == 1:
-                seen += 1
-                if seen > 1:
-                    continue
-            keep.append(lr)
+        keep = np.ones(len(data), dtype=bool)
+        keep[np.flatnonzero((data.group == 1) & (data.label == 1))[1:]] = False
         with pytest.raises(DegenerateDatasetError, match="group=1"):
-            split(keep, 0.7, seed=0)
+            split(data.take(keep), 0.7, seed=0)
 
     def test_bad_fraction(self):
         data = balanced_labeled(40, 8)
@@ -94,18 +90,17 @@ class TestFit:
         # keep a margin around the separator so a lightly regularized fit can
         # classify the training set exactly
         rule = lambda x: int(x[0] + 0.5 * x[1] > 0)
-        data = [lr for lr in make_labeled(300, 10, rule=rule)
-                if abs(lr.record.features[0] + 0.5 * lr.record.features[1]) > 0.2]
+        data = make_labeled(300, 10, rule=rule)
+        data = data.take(np.abs(data.features[:, 0] + 0.5 * data.features[:, 1]) > 0.2)
         model = fit(data, ModelParams(lam=1e-4, alpha=0.5))
         preds = predict(model, data)
-        labels = np.array([lr.label for lr in data])
-        assert np.array_equal(preds.label_hat, labels)
+        assert np.array_equal(preds.label_hat, data.label)
 
     def test_huge_lambda_zeroes_coefficients(self):
         data = balanced_labeled(300, 11)
         model = fit(data, ModelParams(lam=1e6, alpha=0.5))
         assert np.all(model.coefficients == 0.0)
-        base_rate = np.mean([lr.label for lr in data])
+        base_rate = np.mean(data.label)
         assert model.intercept == pytest.approx(math.log(base_rate / (1 - base_rate)),
                                                 abs=1e-4)
 
@@ -120,7 +115,7 @@ class TestFit:
         params = ModelParams(lam=0.01, alpha=0.5)
         model = fit(data, params)
         assert model.converged
-        X_raw, y = _design_matrix(data, params.include_group_feature)
+        X_raw, y = _design_matrix(data, params.include_group_feature), data.label
         X = (X_raw - model.feature_means) / model.feature_scales
         viol = subgradient_violation(X, y, model.coefficients, model.intercept,
                                      params.lam, params.alpha)
@@ -154,12 +149,12 @@ class TestFit:
         rng = np.random.default_rng(15)
         x = rng.normal(size=120)
         y = (expit(0.8 * x - 0.2) > rng.random(120)).astype(int)
-        data = [LabeledRecord(ScoredRecord(i, 0, 0.5, (float(x[i]), float(-x[i]) * 0 + float(rng.normal()))), int(y[i]))
-                for i in range(120)]
+        noise = [float(rng.normal()) for _ in range(120)]
+        data = make_population([0] * 120, [0.5] * 120, np.column_stack([x, noise]), y)
         params = ModelParams(lam=0.0, alpha=0.5, tolerance=1e-10, max_iters=5000)
         model = fit(data, params)
 
-        X_raw, yy = _design_matrix(data, False)
+        X_raw, yy = _design_matrix(data, False), data.label
         X = (X_raw - model.feature_means) / model.feature_scales
         Xb = np.column_stack([X, np.ones(len(yy))])
         theta = np.zeros(3)
@@ -176,10 +171,7 @@ class TestFit:
 
     def test_affine_feature_rescaling_leaves_predictions_invariant(self):
         data = balanced_labeled(200, 16)
-        scaled = [LabeledRecord(
-            ScoredRecord(lr.record.id, lr.record.group, lr.record.score,
-                         tuple(3.0 * f + 7.0 for f in lr.record.features)),
-            lr.label) for lr in data]
+        scaled = replace(data, features=3.0 * data.features + 7.0)
         params = ModelParams(lam=0.01, alpha=0.5, tolerance=1e-10)
         p1 = predict(fit(data, params), data)
         p2 = predict(fit(scaled, params), scaled)
@@ -187,9 +179,8 @@ class TestFit:
 
     def test_constant_feature_gets_zero_coefficient(self):
         data = balanced_labeled(150, 17)
-        flat = [LabeledRecord(
-            ScoredRecord(lr.record.id, lr.record.group, lr.record.score,
-                         lr.record.features[:2] + (1.0,)), lr.label) for lr in data]
+        flat = replace(data, features=np.column_stack([data.features[:, :2],
+                                                       np.ones(len(data))]))
         model = fit(flat, ModelParams(lam=0.01, alpha=0.5))
         assert model.coefficients[2] == 0.0
 
@@ -201,7 +192,9 @@ class TestFit:
 
     def test_empty_train_raises(self):
         with pytest.raises(ValidationError):
-            fit([], ModelParams())
+            fit(make_population([], [], np.empty((0, 3)), []), ModelParams())
+        with pytest.raises(ValidationError, match="labeled"):
+            fit(make_population([0, 1], [0.5, 0.5]), ModelParams())
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
@@ -249,7 +242,7 @@ class TestPredict:
     def test_accepts_unlabeled_records(self):
         data = balanced_labeled(60, 25)
         model = fit(data, ModelParams(lam=0.01))
-        bare = [lr.record for lr in data]
+        bare = replace(data, label=None)
         assert np.allclose(predict(model, bare).score_hat,
                            predict(model, data).score_hat)
 

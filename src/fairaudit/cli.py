@@ -10,15 +10,19 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
+import warnings
 from dataclasses import replace
+
+import numpy as np
 
 from . import harness
 from .bias import ALL_BIAS_SPECS, build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
 from .errors import (DataFormatError, DegenerateDatasetError, EmptySelectionError,
                      ExperimentError, NumericalFailureError, ValidationError)
-from .metrics import METRIC_NAMES, GroupedOutcomes, audit
+from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,29 +108,80 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# columns of a predictions CSV, in the order a malformed row is checked
+PREDICTION_COLUMNS = (("group", np.int64), ("label", np.int64),
+                      ("score_hat", np.float64), ("label_hat", np.int64))
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parses(field: str, dtype) -> bool:
+    """Whether np.loadtxt's converter for dtype accepts the field."""
+    text = field.strip()
+    if dtype is np.int64:
+        return _INTEGER.fullmatch(text) is not None and -2**63 <= int(text) < 2**63
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_field(path, positions) -> str | None:
+    """The physical line and column of the first field np.loadtxt rejects."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader)
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                for name, dtype in PREDICTION_COLUMNS:
+                    i = positions[name]
+                    if i >= len(row):
+                        return f"line {reader.line_num}: column {name}: missing field"
+                    if not _parses(row[i], dtype):
+                        return (f"line {reader.line_num}: column {name}: "
+                                f"could not convert {row[i]!r} to {np.dtype(dtype)}")
+        except UnicodeDecodeError as e:
+            return f"not UTF-8 text: {e}"
+        except csv.Error as e:
+            return f"line {reader.line_num}: {e}"
+    return None
+
+
 def _read_predictions_csv(path) -> GroupedOutcomes:
-    required = ("group", "label", "score_hat", "label_hat")
-    groups, labels, scores, preds = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            header_lines = reader.line_num
+        if header is None:
             raise DataFormatError(f"{path}: empty file")
-        missing = [c for c in required if c not in reader.fieldnames]
+        # any column order; extra columns are ignored; a repeated name means its last one
+        positions = {name: i for i, name in enumerate(header)}
+        missing = [name for name, _ in PREDICTION_COLUMNS if name not in positions]
         if missing:
             raise DataFormatError(f"{path}: line 1: missing columns {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                groups.append(int(row["group"]))
-                labels.append(int(row["label"]))
-                scores.append(float(row["score_hat"]))
-                preds.append(int(row["label_hat"]))
-            except (TypeError, ValueError) as e:
-                raise DataFormatError(f"{path}: line {line}: {e}") from e
-    if not groups:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            table = np.loadtxt(path, dtype=list(PREDICTION_COLUMNS), delimiter=",",
+                               comments=None, quotechar='"', skiprows=header_lines,
+                               usecols=[positions[name] for name, _ in PREDICTION_COLUMNS],
+                               ndmin=1, encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text: {e}") from e
+    except csv.Error as e:
+        raise DataFormatError(f"{path}: line 1: {e}") from e
+    except ValueError as e:
+        # numpy's message names neither the physical line nor the column
+        raise DataFormatError(f"{path}: {_first_bad_field(path, positions) or e}") from e
+    if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
     try:
-        return GroupedOutcomes(group=groups, label=labels,
-                               score_hat=scores, label_hat=preds)
+        return GroupedOutcomes(**{name: table[name] for name, _ in PREDICTION_COLUMNS})
     except ValidationError as e:
         raise DataFormatError(f"{path}: {e}") from e
 
@@ -182,9 +237,12 @@ def cmd_rank(args) -> int:
                  for k, v in doc["datasets"].items()}
     except FileNotFoundError as e:
         raise ValidationError(str(e)) from e
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
-    from .metrics import FAIR_POINTS
+    for index, mean in means.items():
+        if mean is not None and (isinstance(mean, bool) or not isinstance(mean, (int, float))):
+            raise DataFormatError(f"{args.report}: dataset {index}: mean {mean!r} "
+                                  "is neither a number nor null")
 
     order, excluded = harness.rank_means(means, FAIR_POINTS[args.metric])
     print(f"{args.metric}: least to most biased: "

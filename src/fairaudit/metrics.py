@@ -1,8 +1,9 @@
 """The six fairness metrics, computed from predictions, labels, and group membership.
 
 Mean-score and residual differences use the continuous predicted score; the
-rate-based metrics and NMI use the thresholded predicted label. Entropies use
-the natural logarithm; NMI is base-invariant by construction.
+rate-based metrics and NMI use the thresholded predicted label, through one
+(S, Y, Ŷ) count table. Entropies use the natural logarithm; NMI is
+base-invariant by construction.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class GroupedOutcomes:
     label_hat: np.ndarray
 
     def __post_init__(self):
-        self.group = np.asarray(self.group, dtype=int)
-        self.label = np.asarray(self.label, dtype=int)
-        self.score_hat = np.asarray(self.score_hat, dtype=float)
-        self.label_hat = np.asarray(self.label_hat, dtype=int)
+        # contiguous: a field of a structured array (a CSV read) is a strided view
+        self.group = np.ascontiguousarray(self.group, dtype=int)
+        self.label = np.ascontiguousarray(self.label, dtype=int)
+        self.score_hat = np.ascontiguousarray(self.score_hat, dtype=float)
+        self.label_hat = np.ascontiguousarray(self.label_hat, dtype=int)
         n = self.group.size
         if n == 0:
             raise ValidationError("outcomes must be non-empty")
@@ -67,6 +69,19 @@ class GroupedOutcomes:
         return mask
 
 
+def cell_counts(data: GroupedOutcomes) -> np.ndarray:
+    """Counts per (S, Y, Ŷ) cell, indexed [s, y, yhat]; every count-based metric reads it."""
+    cells = 4 * data.group + 2 * data.label + data.label_hat
+    return np.bincount(cells, minlength=8).reshape(2, 2, 2)
+
+
+def _require_groups(counts: np.ndarray, order: tuple[int, int]) -> None:
+    """Raise for the first absent group; metrics differ in which one they name first."""
+    for s in order:
+        if not counts[s].any():
+            raise UndefinedMetricError(f"group {s} is absent")
+
+
 @dataclass
 class JointCounts:
     """2x2 counts of (predicted label, group) with derived probabilities."""
@@ -83,12 +98,13 @@ class JointCounts:
             raise ValidationError("counts must not all be zero")
 
     @classmethod
+    def from_cells(cls, counts: np.ndarray) -> "JointCounts":
+        """The (Ŷ, S) margin of a cell_counts table."""
+        return cls(counts.sum(axis=1).T)
+
+    @classmethod
     def from_outcomes(cls, data: GroupedOutcomes) -> "JointCounts":
-        counts = np.zeros((2, 2))
-        for yhat in (0, 1):
-            for s in (0, 1):
-                counts[yhat][s] = np.sum((data.label_hat == yhat) & (data.group == s))
-        return cls(counts)
+        return cls.from_cells(cell_counts(data))
 
     @property
     def joint_probs(self) -> np.ndarray:
@@ -116,31 +132,35 @@ def residual_difference(data: GroupedOutcomes) -> float:
     return float(res[m1].mean() - res[m0].mean())
 
 
-def _conditional_rate(data: GroupedOutcomes, s: int, y: int) -> float:
-    cell = (data.group == s) & (data.label == y)
-    if not cell.any():
-        raise UndefinedMetricError(f"no records with S={s}, Y={y}")
-    return float(data.label_hat[cell].mean())
+def _rate_difference(counts: np.ndarray, y: int) -> float:
+    """Pr{Ŷ=1 | S=1, Y=y} - Pr{Ŷ=1 | S=0, Y=y}."""
+    for s in (1, 0):
+        if not counts[s, y].any():
+            raise UndefinedMetricError(f"no records with S={s}, Y={y}")
+    return float(counts[1, y, 1] / counts[1, y].sum() - counts[0, y, 1] / counts[0, y].sum())
 
 
 def equal_opportunity_difference(data: GroupedOutcomes) -> float:
     """Difference of group true-positive rates: Pr{Ŷ=1|S=1,Y=1} - Pr{Ŷ=1|S=0,Y=1}."""
-    return _conditional_rate(data, 1, 1) - _conditional_rate(data, 0, 1)
+    return _rate_difference(cell_counts(data), 1)
 
 
 def equal_misopportunity_difference(data: GroupedOutcomes) -> float:
     """Difference of group false-positive rates: Pr{Ŷ=1|S=1,Y=0} - Pr{Ŷ=1|S=0,Y=0}."""
-    return _conditional_rate(data, 1, 0) - _conditional_rate(data, 0, 0)
+    return _rate_difference(cell_counts(data), 0)
+
+
+def _disparate_impact(counts: np.ndarray) -> float | None:
+    _require_groups(counts, (1, 0))
+    r1, r0 = (counts[s, :, 1].sum() / counts[s].sum() for s in (1, 0))
+    if r0 == 0.0:
+        return None
+    return float(r1 / r0)
 
 
 def disparate_impact(data: GroupedOutcomes) -> float | None:
     """Ratio of group positive-prediction rates; None when the denominator rate is 0."""
-    m1, m0 = data._group_mask(1), data._group_mask(0)
-    r1 = float(data.label_hat[m1].mean())
-    r0 = float(data.label_hat[m0].mean())
-    if r0 == 0.0:
-        return None
-    return r1 / r0
+    return _disparate_impact(cell_counts(data))
 
 
 def entropy(dist) -> float:
@@ -169,22 +189,14 @@ def nmi_from_counts(joint: JointCounts) -> float:
     return float(mi / np.sqrt(hy * hs))
 
 
+def _nmi(counts: np.ndarray) -> float:
+    _require_groups(counts, (0, 1))
+    return nmi_from_counts(JointCounts.from_cells(counts))
+
+
 def normalized_mutual_information(data: GroupedOutcomes) -> float:
     """NMI of (predicted label, group)."""
-    data._group_mask(0)
-    data._group_mask(1)
-    return nmi_from_counts(JointCounts.from_outcomes(data))
-
-
-def cell_counts(data: GroupedOutcomes) -> dict[tuple[int, int, int], int]:
-    """Counts per (S, Y, Ŷ) cell."""
-    out = {}
-    for s in (0, 1):
-        for y in (0, 1):
-            for yhat in (0, 1):
-                out[(s, y, yhat)] = int(np.sum((data.group == s) & (data.label == y)
-                                               & (data.label_hat == yhat)))
-    return out
+    return _nmi(cell_counts(data))
 
 
 @dataclass
@@ -220,44 +232,31 @@ class MetricReport:
         }
 
 
-def _guarded(fn, data: GroupedOutcomes) -> MetricValue:
+def _guarded(fn, *args) -> MetricValue:
     try:
-        return MetricValue(float(fn(data)))
+        value = fn(*args)
     except UndefinedMetricError as e:
         return MetricValue(None, "undefined", str(e))
     except ValidationError as e:
         return MetricValue(None, "error", str(e))
+    return MetricValue(value)
 
 
 def audit(data: GroupedOutcomes) -> MetricReport:
     """Compute all six metrics; undefined markers are carried, never coerced."""
-    di: MetricValue
-    try:
-        value = disparate_impact(data)
-        if value is None:
-            di = MetricValue(None, "undefined",
-                             "group-0 positive prediction rate is zero")
-        else:
-            di = MetricValue(value)
-    except UndefinedMetricError as e:
-        di = MetricValue(None, "undefined", str(e))
-
-    nmi_value: MetricValue
-    try:
-        v = normalized_mutual_information(data)
-        detail = ""
-        if entropy(JointCounts.from_outcomes(data).yhat_marginal) == 0.0:
-            detail = "degenerate prediction margin; mutual information is zero"
-        nmi_value = MetricValue(v, "ok", detail)
-    except UndefinedMetricError as e:
-        nmi_value = MetricValue(None, "undefined", str(e))
-
+    counts = cell_counts(data)
+    di = _guarded(_disparate_impact, counts)
+    if di.status == "ok" and di.value is None:
+        di = MetricValue(None, "undefined", "group-0 positive prediction rate is zero")
+    nmi = _guarded(_nmi, counts)
+    if nmi.status == "ok" and not counts.sum(axis=(0, 1)).all():
+        nmi.detail = "degenerate prediction margin; mutual information is zero"
     return MetricReport(
         mean_score_diff=_guarded(mean_score_difference, data),
         residual_diff=_guarded(residual_difference, data),
-        equal_opportunity_diff=_guarded(equal_opportunity_difference, data),
-        equal_misopportunity_diff=_guarded(equal_misopportunity_difference, data),
+        equal_opportunity_diff=_guarded(_rate_difference, counts, 1),
+        equal_misopportunity_diff=_guarded(_rate_difference, counts, 0),
         disparate_impact=di,
-        nmi=nmi_value,
-        cell_counts=cell_counts(data),
+        nmi=nmi,
+        cell_counts={cell: int(n) for cell, n in np.ndenumerate(counts)},
     )

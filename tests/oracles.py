@@ -1,10 +1,11 @@
 """Independent brute-force references (explicit loops over records): the six
-metrics, and the sample -> label -> split pipeline.
+metrics, the sample -> label -> split pipeline, and the predictions CSV reader.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -154,3 +155,21 @@ def sample_label_split_oracle(pop, sample_policy, label_policy, sample_seed,
     train = [row for i, row in enumerate(kept) if i in in_train]
     test = [row for i, row in enumerate(kept) if i not in in_train]
     return train, test
+
+
+def read_predictions_oracle(path):
+    """(columns, None) for a predictions CSV read one csv.DictReader row at a
+    time, or (None, line) naming the physical line of the first row that does
+    not parse with int() and float(). Header errors are not modelled."""
+    columns = {"group": [], "label": [], "score_hat": [], "label_hat": []}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                columns["group"].append(int(row["group"]))
+                columns["label"].append(int(row["label"]))
+                columns["score_hat"].append(float(row["score_hat"]))
+                columns["label_hat"].append(int(row["label_hat"]))
+            except (TypeError, ValueError):
+                return None, reader.line_num
+    return {name: np.array(values) for name, values in columns.items()}, None

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from fairaudit.cli import main
+from fairaudit.cli import PREDICTION_COLUMNS, _parses, _read_predictions_csv, main
+from oracles import read_predictions_oracle
 
 SMALL_CFG = """\
 [experiment]
@@ -136,6 +138,35 @@ class TestAudit:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, line", [
+        ("x,0,0.5,1\n", 2),                              # bad first row
+        ("1,1,0.5,1\n0,0,0.5\n", 3),                     # short row
+        ("1,1,0.5,1\n\n\n0,0,0.5,zz\n", 5),              # after blank lines
+    ])
+    def test_malformed_row_names_physical_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV_HEADER + body)
+        assert main(["audit", "--input", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_header_only_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text(FIXTURE_CSV_HEADER)
+        assert main(["audit", "--input", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert "no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_non_utf8_exits_3(self, tmp_path, capsys, rows):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(FIXTURE_CSV_HEADER.encode() + b"1,1,0.5,1\n" * rows
+                         + b"\xff,0,0.5,0\n")
+        out = tmp_path / "r.json"
+        assert main(["audit", "--input", str(path), "--out", str(out)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_score_exits_3(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text(FIXTURE_CSV_HEADER + "1,1,0.5,1\n0,0,nan,0\n1,0,0.5,0\n")
@@ -217,5 +248,93 @@ class TestRank:
 
     def test_rank_malformed_report_exits_3(self, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text("{\"datasets\": {\"1\": {}}}")
-        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        for doc in ({"datasets": {"1": {}}}, [], {"datasets": []}, {"datasets": {"1": 2}},
+                    {"datasets": {"x": {"metrics": {"nmi": {"mean": 0.1}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": "0.1"}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": True}}}}}):
+            path.write_text(json.dumps(doc))
+            assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
+
+
+HEADER = FIXTURE_CSV_HEADER
+
+# inputs csv.DictReader with int()/float() accepts
+ACCEPTED = {
+    "plain": HEADER + "1,1,0.5,1\n0,0,0.25,0",
+    "reordered": "label_hat,score_hat,label,group\n1,0.25,0,1\n0,0.75,1,0\n",
+    "extra and quoted": ('id,group,note,label,score_hat,label_hat\n'
+                         '7,1,"a,b",0,0.5,1\n8,"0","say ""hi""",1,"0.25",0\n'),
+    "multi-line quoted extra": 'note,group,label,score_hat,label_hat\n"a\nb",1,0,0.5,1\n',
+    "crlf": HEADER.replace("\n", "\r\n") + "1,1,0.5,1\r\n0,0,0.125,0\r\n",
+    "blank lines": HEADER + "\n1,1,0.5,1\n\n\n0,0,0.25,0\n\n",
+    "padded": HEADER + " 1 ,0\t, 0.5 ,1 \n\t0,+1,5e-1 , -0\n",
+    "repeated name": ("group,label_hat,label,score_hat,label_hat,group\n"
+                      "0,zz,1,0.5,1,1\n"),
+    "long row": HEADER + "1,1,0.5,1,9,9\n",
+    "score spellings": HEADER + "1,1,.5,1\n0,0,1.,1\n0,0,0E0,0\n",
+}
+
+# inputs it rejects, at the line it names (beside TestAudit's line-number cases)
+REJECTED = {
+    "float in int column": HEADER + "1,1,0.5,1\n1.0,0,0.5,1\n",
+    "empty field": HEADER + "1,,0.5,1\n",
+    "whitespace line": HEADER + "1,1,0.5,1\n   \n",
+    "crlf blank lines": HEADER.replace("\n", "\r\n") + "\r\n1,0,0.5,1\r\n1,0,x,1\r\n",
+    "after multi-line quote": ('note,group,label,score_hat,label_hat\n'
+                               '"a\nb",1,0,0.5,1\n1,0,0,0.5,q\n'),
+    "repeated name, last bad": "group,label,score_hat,label_hat,group\n0,1,0.5,1,?\n",
+}
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "preds.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestPredictionsReader:
+    @pytest.mark.parametrize("name", ACCEPTED)
+    def test_accepted_inputs_match_oracle(self, tmp_path, name):
+        path = _write(tmp_path, ACCEPTED[name])
+        want, bad_line = read_predictions_oracle(path)
+        assert bad_line is None
+        data = _read_predictions_csv(str(path))
+        for column, _ in PREDICTION_COLUMNS:
+            got = getattr(data, column)
+            assert got.dtype == want[column].dtype, column
+            assert got.flags.c_contiguous, column
+            assert np.array_equal(got, want[column]), column
+
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_rejected_inputs_name_oracle_line(self, tmp_path, capsys, name):
+        path = _write(tmp_path, REJECTED[name])
+        _, bad_line = read_predictions_oracle(path)
+        assert bad_line is not None
+        assert main(["audit", "--input", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert f": line {bad_line}: column " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["0_1,0,0.5,1\n", "\u0661,0,0.5,1\n",
+                                      "1,0,0.5_0,1\n", "1,0,\u0660.5,1\n"])
+    def test_python_only_number_spellings_rejected(self, tmp_path, capsys, body):
+        path = _write(tmp_path, HEADER + "1,1,0.5,1\n" + body)
+        assert read_predictions_oracle(path)[1] is None
+        assert main(["audit", "--input", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert ": line 3: column " in capsys.readouterr().err
+
+    def test_error_scan_agrees_with_loadtxt(self):
+        fields = ["1", " 1 ", "+1", "-0", "\t0\x0b", "1.0", "0_1", "\u0661", "", " ",
+                  "1 1", "0x1", "9223372036854775807", "9223372036854775808",
+                  "-9223372036854775809", "0.5", " .5 ", "5e-1", "1.", "nan", "-inf",
+                  "Infinity", "0.5_0", "0x1p-1", "1e", "\u0660.5", "0.5\x85", "0.5\x01",
+                  "\u00bd", "1e999", "--1", "+-1"]
+        for dtype in (np.int64, np.float64):
+            for field in fields:
+                try:
+                    np.loadtxt([f"0,{field}"], dtype=dtype, delimiter=",", comments=None,
+                               quotechar='"', usecols=[1])
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert _parses(field, dtype) == accepted, (field, dtype)

@@ -214,20 +214,72 @@ class TestAuditReport:
         assert report.equal_opportunity_diff.value == pytest.approx(tpr1 - tpr0, abs=1e-15)
 
 
+PUBLIC_METRICS = {
+    "mean_score_diff": mean_score_difference,
+    "residual_diff": residual_difference,
+    "equal_opportunity_diff": equal_opportunity_difference,
+    "equal_misopportunity_diff": equal_misopportunity_difference,
+    "disparate_impact": disparate_impact,
+    "nmi": normalized_mutual_information,
+}
+
+
+class TestAuditMatchesPublicFunctions:
+    def test_values_equal_exactly(self):
+        rng = np.random.default_rng(606)
+        for max_n in (4, 12, 200):  # small draws leave groups and cells empty
+            for _ in range(300):
+                data = random_outcomes(rng, max_n=max_n)
+                report = audit(data)
+                for name, fn in PUBLIC_METRICS.items():
+                    got = report.metric(name)
+                    try:
+                        want = fn(data)
+                    except UndefinedMetricError as e:
+                        assert (got.value, got.status, got.detail) == (None, "undefined",
+                                                                       str(e)), name
+                        continue
+                    if want is None:
+                        assert got.status == "undefined", name
+                    assert got.value == want, name
+
+    @pytest.mark.parametrize("cells, name, status, detail", [
+        ([(0, 1, 1, 5), (0, 0, 0, 5)], "mean_score_diff", "undefined", "group 1 is absent"),
+        ([(1, 1, 1, 5), (1, 0, 0, 5)], "mean_score_diff", "undefined", "group 0 is absent"),
+        ([(0, 1, 1, 5), (0, 0, 0, 5)], "residual_diff", "undefined", "group 1 is absent"),
+        ([(1, 1, 1, 5), (1, 0, 0, 5)], "residual_diff", "undefined", "group 0 is absent"),
+        ([(0, 1, 1, 5), (0, 0, 0, 5)], "disparate_impact", "undefined", "group 1 is absent"),
+        ([(1, 1, 1, 5), (1, 0, 0, 5)], "disparate_impact", "undefined", "group 0 is absent"),
+        ([(0, 1, 1, 5), (0, 0, 0, 5)], "nmi", "undefined", "group 1 is absent"),
+        ([(1, 1, 1, 5), (1, 0, 0, 5)], "nmi", "undefined", "group 0 is absent"),
+        ([(0, 1, 1, 5), (0, 0, 0, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
+         "undefined", "no records with S=1, Y=1"),
+        ([(0, 0, 0, 5), (1, 0, 1, 5)], "equal_opportunity_diff",
+         "undefined", "no records with S=1, Y=1"),
+        ([(0, 0, 0, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
+         "undefined", "no records with S=0, Y=1"),
+        ([(0, 1, 1, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_misopportunity_diff",
+         "undefined", "no records with S=0, Y=0"),
+        ([(0, 0, 0, 5), (1, 1, 1, 5)], "disparate_impact",
+         "undefined", "group-0 positive prediction rate is zero"),
+        ([(0, 0, 1, 5), (1, 0, 1, 5)], "nmi",
+         "ok", "degenerate prediction margin; mutual information is zero"),
+        ([(0, 0, 0, 5), (1, 1, 0, 5)], "nmi",
+         "ok", "degenerate prediction margin; mutual information is zero"),
+        ([(0, 0, 0, 5), (1, 1, 1, 5)], "nmi", "ok", ""),
+    ])
+    def test_status_and_detail_strings(self, cells, name, status, detail):
+        got = audit(build_outcomes(cells)).metric(name)
+        assert (got.status, got.detail) == (status, detail)
+        assert (got.value is None) == (status != "ok")
+
+
 class TestProperties:
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(123)
-        checks = {
-            "mean_score_diff": mean_score_difference,
-            "residual_diff": residual_difference,
-            "equal_opportunity_diff": equal_opportunity_difference,
-            "equal_misopportunity_diff": equal_misopportunity_difference,
-            "disparate_impact": disparate_impact,
-            "nmi": normalized_mutual_information,
-        }
         for _ in range(200):
             data = random_outcomes(rng)
-            for name, fn in checks.items():
+            for name, fn in PUBLIC_METRICS.items():
                 got = _safe(fn, data)
                 want = ORACLES[name](data)
                 if want is None:

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 import warnings
 from dataclasses import replace
@@ -111,25 +110,35 @@ def cmd_build(args) -> int:
 # columns of a predictions CSV, in the order a malformed row is checked
 PREDICTION_COLUMNS = (("group", np.int64), ("label", np.int64),
                       ("score_hat", np.float64), ("label_hat", np.int64))
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# np.loadtxt decompresses a path with one of these extensions; the csv.reader passes do not
+COMPRESSED_EXTENSIONS = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _loadtxt(source, dtype, usecols, skiprows=0):
+    """np.loadtxt on a predictions CSV path (or a list of lines), as the audit reads it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.23-1.26 only warns before it casts 0.7 in an int column to 0
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          skiprows=skiprows, usecols=usecols, ndmin=1, encoding="utf-8")
 
 
 def _parses(field: str, dtype) -> bool:
-    """Whether np.loadtxt's converter for dtype accepts the field."""
+    """Whether _loadtxt's converter for dtype accepts the field."""
     text = field.strip()
-    if dtype is np.int64:
-        return _INTEGER.fullmatch(text) is not None and -2**63 <= int(text) < 2**63
     if not text.isascii() or "_" in text:
         return False
     try:
-        float(text)
+        value = int(text) if dtype is np.int64 else float(text)
     except ValueError:
         return False
-    return True
+    return dtype is not np.int64 or -2**63 <= value < 2**63
 
 
 def _first_bad_field(path, positions) -> str | None:
-    """The physical line and column of the first field np.loadtxt rejects."""
+    """The physical line and column of the first field _loadtxt rejects."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -144,14 +153,16 @@ def _first_bad_field(path, positions) -> str | None:
                     if not _parses(row[i], dtype):
                         return (f"line {reader.line_num}: column {name}: "
                                 f"could not convert {row[i]!r} to {np.dtype(dtype)}")
-        except UnicodeDecodeError as e:
-            return f"not UTF-8 text: {e}"
         except csv.Error as e:
             return f"line {reader.line_num}: {e}"
     return None
 
 
 def _read_predictions_csv(path) -> GroupedOutcomes:
+    extension = os.path.splitext(path)[1]
+    if extension in COMPRESSED_EXTENSIONS:
+        raise DataFormatError(f"{path}: compressed input ({extension}) is not supported; "
+                              "decompress or rename it")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -164,13 +175,9 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
         missing = [name for name, _ in PREDICTION_COLUMNS if name not in positions]
         if missing:
             raise DataFormatError(f"{path}: line 1: missing columns {', '.join(missing)}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            table = np.loadtxt(path, dtype=list(PREDICTION_COLUMNS), delimiter=",",
-                               comments=None, quotechar='"', skiprows=header_lines,
-                               usecols=[positions[name] for name, _ in PREDICTION_COLUMNS],
-                               ndmin=1, encoding="utf-8")
+        table = _loadtxt(path, list(PREDICTION_COLUMNS),
+                         [positions[name] for name, _ in PREDICTION_COLUMNS],
+                         skiprows=header_lines)
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text: {e}") from e
     except csv.Error as e:

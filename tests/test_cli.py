@@ -1,10 +1,12 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from fairaudit.cli import PREDICTION_COLUMNS, _parses, _read_predictions_csv, main
+from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
+                           _read_predictions_csv, main)
 from oracles import read_predictions_oracle
 
 SMALL_CFG = """\
@@ -266,6 +268,8 @@ ACCEPTED = {
                          '7,1,"a,b",0,0.5,1\n8,"0","say ""hi""",1,"0.25",0\n'),
     "multi-line quoted extra": 'note,group,label,score_hat,label_hat\n"a\nb",1,0,0.5,1\n',
     "crlf": HEADER.replace("\n", "\r\n") + "1,1,0.5,1\r\n0,0,0.125,0\r\n",
+    "cr": HEADER.replace("\n", "\r") + "1,1,0.5,1\r0,0,0.125,0\r",
+    "multi-line quoted header": 'x,"a\nb",group,label,score_hat,label_hat\n9,q,1,0,0.5,1\n',
     "blank lines": HEADER + "\n1,1,0.5,1\n\n\n0,0,0.25,0\n\n",
     "padded": HEADER + " 1 ,0\t, 0.5 ,1 \n\t0,+1,5e-1 , -0\n",
     "repeated name": ("group,label_hat,label,score_hat,label_hat,group\n"
@@ -282,6 +286,8 @@ REJECTED = {
     "crlf blank lines": HEADER.replace("\n", "\r\n") + "\r\n1,0,0.5,1\r\n1,0,x,1\r\n",
     "after multi-line quote": ('note,group,label,score_hat,label_hat\n'
                                '"a\nb",1,0,0.5,1\n1,0,0,0.5,q\n'),
+    "after multi-line quoted header": ('x,"a\nb",group,label,score_hat,label_hat\n'
+                                       '9,q,1,0,0.5,1\n9,q,1,0,zz,1\n'),
     "repeated name, last bad": "group,label,score_hat,label_hat,group\n0,1,0.5,1,?\n",
 }
 
@@ -332,9 +338,47 @@ class TestPredictionsReader:
         for dtype in (np.int64, np.float64):
             for field in fields:
                 try:
-                    np.loadtxt([f"0,{field}"], dtype=dtype, delimiter=",", comments=None,
-                               quotechar='"', usecols=[1])
+                    _loadtxt([f"0,{field}"], dtype, [1])
                     accepted = True
                 except ValueError:
                     accepted = False
                 assert _parses(field, dtype) == accepted, (field, dtype)
+
+    @pytest.mark.filterwarnings("default")  # the reader alone must turn the warning into an error
+    @pytest.mark.parametrize("body", ["1,0.7,0.5,1\n", "1,1.0,0.5,1\n", "1.9,0,0.5,1\n"])
+    def test_float_in_int_column_rejected_under_numpy_1x(self, tmp_path, capsys, monkeypatch,
+                                                         body):
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_1x(source, dtype, **kwargs):
+            # numpy 1.23-1.26: a float in an int column is cast after one DeprecationWarning
+            try:
+                return real_loadtxt(source, dtype, **kwargs)
+            except ValueError:
+                pass
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as e:
+                raise ValueError("could not convert string to int64") from e
+            as_float = [(name, np.float64) for name, _ in dtype]
+            return real_loadtxt(source, as_float, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_1x)
+        path = _write(tmp_path, HEADER + "1,1,0.5,1\n" + body)
+        assert main(["audit", "--input", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert ": line 3: column " in capsys.readouterr().err
+
+    def test_compressed_extensions_match_numpy(self):
+        assert sorted(COMPRESSED_EXTENSIONS) == sorted(
+            ext for ext in np.lib._datasource._file_openers.keys() if ext is not None)
+
+    @pytest.mark.parametrize("extension", COMPRESSED_EXTENSIONS)
+    def test_compressed_extension_exits_3(self, tmp_path, capsys, extension):
+        path = tmp_path / f"preds.csv{extension}"
+        path.write_text(ACCEPTED["plain"])
+        out = tmp_path / "r.json"
+        assert main(["audit", "--input", str(path), "--out", str(out)]) == 3
+        assert f"compressed input ({extension})" in capsys.readouterr().err
+        assert not out.exists()

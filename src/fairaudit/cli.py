@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -247,9 +248,18 @@ def cmd_rank(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
     for index, mean in means.items():
-        if mean is not None and (isinstance(mean, bool) or not isinstance(mean, (int, float))):
+        if mean is None:
+            continue
+        if isinstance(mean, bool) or not isinstance(mean, (int, float)):
             raise DataFormatError(f"{args.report}: dataset {index}: mean {mean!r} "
                                   "is neither a number nor null")
+        try:
+            finite = math.isfinite(mean)  # json reads NaN and Infinity
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise DataFormatError(f"{args.report}: dataset {index}: mean {mean!r} "
+                                  "is not finite")
 
     order, excluded = harness.rank_means(means, FAIR_POINTS[args.metric])
     print(f"{args.metric}: least to most biased: "

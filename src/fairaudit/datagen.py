@@ -4,6 +4,9 @@ Scores per group are drawn from a Beta family whose parameters are solved
 numerically so that the mass above 0.5 matches the group's target positive
 rate; the positive count is made exact (up to rounding) by inverse-CDF
 sampling conditional on each side of the 0.5 cutoff.
+
+scipy is imported inside the functions that use it, so commands that never
+generate a population (`fairaudit audit`, `rank`) do not pay for its import.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import EmptySelectionError, ValidationError
 
@@ -56,14 +58,21 @@ class Population:
 
     def take(self, index) -> "Population":
         """The rows an index array or boolean mask selects, in its order."""
-        return Population(self.id[index], self.group[index], self.score[index],
-                          self.features[index],
-                          None if self.label is None else self.label[index])
+        index = np.asarray(index)
+        if index.dtype == bool:
+            if index.shape != (len(self),):
+                raise IndexError(f"boolean mask of shape {index.shape} does not match "
+                                 f"{len(self)} rows")
+            index = np.flatnonzero(index)
+        return Population(self.id.take(index), self.group.take(index),
+                          self.score.take(index), self.features.take(index, axis=0),
+                          None if self.label is None else self.label.take(index))
 
 
 def _binary(name: str, values) -> np.ndarray:
     values = np.asarray(values)
-    if not np.isin(values, (0, 1)).all():
+    # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
+    if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
     return values.astype(np.int64)
 
@@ -104,6 +113,8 @@ class PopulationSpec:
 
 def _beta_shape(rate: float, concentration: float) -> tuple[float, float]:
     """Solve for Beta(a, b) with a + b = concentration and P(X >= 0.5) = rate."""
+    from scipy import optimize, stats
+
     lo = 1e-9 * concentration
     hi = concentration - lo
 
@@ -116,6 +127,8 @@ def _beta_shape(rate: float, concentration: float) -> tuple[float, float]:
 
 def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     """Draw n Beta scores with an exact (rounded) count of scores >= 0.5."""
+    from scipy import stats
+
     a, b = _beta_shape(rate, concentration)
     k = int(round(n * rate))
     split = stats.beta.cdf(0.5, a, b)

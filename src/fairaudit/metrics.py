@@ -51,7 +51,7 @@ class GroupedOutcomes:
                 raise ValidationError(f"{name} is not aligned with group")
         for name in ("group", "label", "label_hat"):
             arr = getattr(self, name)
-            if not np.isin(arr, (0, 1)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise ValidationError(f"{name} must be binary")
         if not ((self.score_hat >= 0.0) & (self.score_hat <= 1.0)).all():
             raise ValidationError("score_hat must lie in [0, 1]")

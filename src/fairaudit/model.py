@@ -5,7 +5,8 @@ quadratic approximation of the logistic loss. Each outer iteration tries a
 Newton-weighted pass and falls back to the global 1/4 curvature bound (a true
 majorizer) whenever the penalized objective would increase, so the objective
 is monotonically non-increasing across iterations. Features are standardized
-internally; the intercept is unpenalized.
+internally; the intercept is unpenalized. scipy is imported inside the
+functions that use it, as in datagen.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .datagen import Population
 from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
@@ -157,7 +157,12 @@ def _soft(x: float, threshold: float) -> float:
 def penalized_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
                         intercept: float, lam: float, alpha: float) -> float:
     """Mean logistic loss plus the elastic-net penalty (intercept unpenalized)."""
-    eta = X @ beta + intercept
+    return _objective(X @ beta + intercept, y, beta, lam, alpha)
+
+
+def _objective(eta: np.ndarray, y: np.ndarray, beta: np.ndarray,
+               lam: float, alpha: float) -> float:
+    """penalized_objective given the linear predictor eta = X @ beta + intercept."""
     loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
     penalty = lam * (alpha * float(np.abs(beta).sum())
                      + 0.5 * (1.0 - alpha) * float(beta @ beta))
@@ -168,6 +173,8 @@ def smooth_gradient(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
                     intercept: float, lam: float,
                     alpha: float) -> tuple[np.ndarray, float]:
     """Gradient of the smooth part (logistic loss + L2 term) wrt (beta, intercept)."""
+    from scipy.special import expit
+
     p = expit(X @ beta + intercept)
     g_beta = X.T @ (p - y) / len(y) + lam * (1.0 - alpha) * beta
     g_b = float(np.mean(p - y))
@@ -190,6 +197,8 @@ def subgradient_violation(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
 
 def fit(train: Population, params: ModelParams) -> Model:
     """Fit elastic-net logistic regression on standardized features."""
+    from scipy.special import expit
+
     if not train:
         raise ValidationError("training set must be non-empty")
     if train.label is None:
@@ -245,21 +254,26 @@ def fit(train: Population, params: ModelParams) -> Model:
 
     beta = np.zeros(m)
     b = 0.0
-    obj = penalized_objective(X, y, beta, b, lam, alpha)
+    # the linear predictor of the current iterate feeds its objective and the
+    # next iteration's probabilities
+    eta = X @ beta + b
+    obj = _objective(eta, y, beta, lam, alpha)
     history = [obj]
     converged = False
     iters = 0
     for iters in range(1, params.max_iters + 1):
-        p = expit(X @ beta + b)
+        p = expit(eta)
         new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=True)
-        new_obj = penalized_objective(X, y, new_beta, new_b, lam, alpha)
+        new_eta = X @ new_beta + new_b
+        new_obj = _objective(new_eta, y, new_beta, lam, alpha)
         if not np.isfinite(new_obj) or new_obj > obj:
             # fall back to the majorizing bound, which cannot increase the objective
             new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=False)
-            new_obj = penalized_objective(X, y, new_beta, new_b, lam, alpha)
+            new_eta = X @ new_beta + new_b
+            new_obj = _objective(new_eta, y, new_beta, lam, alpha)
         if not np.isfinite(new_obj):
             raise NumericalFailureError("non-finite objective during optimization")
-        beta, b, obj = new_beta, new_b, new_obj
+        beta, b, eta, obj = new_beta, new_b, new_eta, new_obj
         history.append(obj)
         if max_delta < params.tolerance:
             converged = True
@@ -272,6 +286,8 @@ def fit(train: Population, params: ModelParams) -> Model:
 
 def predict(model: Model, records: Population, threshold: float | None = None) -> Predictions:
     """Score records with the fitted model and threshold into labels (ties map to 1)."""
+    from scipy.special import expit
+
     X_raw = _design_matrix(records, model.params.include_group_feature)
     if X_raw.shape[1] != len(model.coefficients):
         raise ValidationError(

@@ -1,5 +1,6 @@
 """Independent brute-force references (explicit loops over records): the six
-metrics, the sample -> label -> split pipeline, and the predictions CSV reader.
+metrics, the sample -> label -> split pipeline, and the predictions CSV reader;
+and a frozen copy of the elastic-net fitter.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
@@ -9,6 +10,10 @@ import csv
 import math
 
 import numpy as np
+from scipy.special import expit
+
+from fairaudit.errors import NumericalFailureError, ValidationError
+from fairaudit.model import Model
 
 
 def _rows(data):
@@ -173,3 +178,103 @@ def read_predictions_oracle(path):
             except (TypeError, ValueError):
                 return None, reader.line_num
     return {name: np.array(values) for name, values in columns.items()}, None
+
+
+def _design_matrix_oracle(data, include_group):
+    if include_group:
+        return np.column_stack([data.features, data.group.astype(float)])
+    return data.features
+
+
+def _soft_oracle(x, threshold):
+    if x > threshold:
+        return x - threshold
+    if x < -threshold:
+        return x + threshold
+    return 0.0
+
+
+def _penalized_objective_oracle(X, y, beta, intercept, lam, alpha):
+    eta = X @ beta + intercept
+    loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+    penalty = lam * (alpha * float(np.abs(beta).sum())
+                     + 0.5 * (1.0 - alpha) * float(beta @ beta))
+    return loss + penalty
+
+
+def fit_oracle(train, params):
+    """model.fit as it was before the optimizer reused X @ beta between steps:
+    every objective recomputes its linear predictor. Its coefficients,
+    intercept, iteration count and objective history are the bits fit must keep.
+    """
+    if not train:
+        raise ValidationError("training set must be non-empty")
+    if train.label is None:
+        raise ValidationError("training set must be labeled")
+    X_raw = _design_matrix_oracle(train, params.include_group_feature)
+    y = train.label.astype(float)
+    if X_raw.shape[1] == 0:
+        raise ValidationError("training set must have at least one feature")
+    n, m = X_raw.shape
+    mu = X_raw.mean(axis=0)
+    sd = X_raw.std(axis=0)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    X = (X_raw - mu) / sd
+
+    lam, alpha = params.lam, params.alpha
+    l1 = lam * alpha
+    l2 = lam * (1.0 - alpha)
+    X2 = X ** 2
+    sq = X2.mean(axis=0)
+
+    def cd_pass(beta, b, p, newton: bool):
+        beta = beta.copy()
+        if newton:
+            w = np.clip(p * (1.0 - p), 1e-6, None)
+            wx2 = X2.T @ w / n
+            w_sum = float(w.sum())
+        else:
+            w = None
+            wx2 = 0.25 * sq
+            w_sum = 0.25 * n
+        wr = y - p
+        max_delta = 0.0
+        for j in range(m):
+            denom_j = wx2[j] + l2
+            if wx2[j] <= 0.0 or denom_j <= 0.0:
+                continue
+            rho = float(X[:, j] @ wr) / n + wx2[j] * beta[j]
+            new = _soft_oracle(rho, l1) / denom_j
+            d = new - beta[j]
+            if d != 0.0:
+                wr -= (w * X[:, j] if newton else 0.25 * X[:, j]) * d
+                beta[j] = new
+                max_delta = max(max_delta, abs(d))
+        db = float(wr.sum()) / w_sum
+        b += db
+        return beta, b, max(max_delta, abs(db))
+
+    beta = np.zeros(m)
+    b = 0.0
+    obj = _penalized_objective_oracle(X, y, beta, b, lam, alpha)
+    history = [obj]
+    converged = False
+    iters = 0
+    for iters in range(1, params.max_iters + 1):
+        p = expit(X @ beta + b)
+        new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=True)
+        new_obj = _penalized_objective_oracle(X, y, new_beta, new_b, lam, alpha)
+        if not np.isfinite(new_obj) or new_obj > obj:
+            new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=False)
+            new_obj = _penalized_objective_oracle(X, y, new_beta, new_b, lam, alpha)
+        if not np.isfinite(new_obj):
+            raise NumericalFailureError("non-finite objective during optimization")
+        beta, b, obj = new_beta, new_b, new_obj
+        history.append(obj)
+        if max_delta < params.tolerance:
+            converged = True
+            break
+
+    return Model(coefficients=beta, intercept=float(b), feature_means=mu,
+                 feature_scales=sd, params=params, converged=converged,
+                 n_iters=iters, objective_history=history)

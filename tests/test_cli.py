@@ -1,10 +1,16 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairaudit
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
 from oracles import read_predictions_oracle
@@ -253,9 +259,26 @@ class TestRank:
         for doc in ({"datasets": {"1": {}}}, [], {"datasets": []}, {"datasets": {"1": 2}},
                     {"datasets": {"x": {"metrics": {"nmi": {"mean": 0.1}}}}},
                     {"datasets": {"1": {"metrics": {"nmi": {"mean": "0.1"}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": True}}}}}):
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": True}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": 0.1}}},
+                                  "2": {"metrics": {"nmi": {"mean": math.nan}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": math.inf}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": -math.inf}}}}},
+                    {"datasets": {"1": {"metrics": {"nmi": {"mean": 10 ** 400}}}}}):
             path.write_text(json.dumps(doc))
             assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
+
+
+def test_import_leaves_scipy_unloaded():
+    # audit and rank never use scipy; its import would be most of their start-up
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fairaudit, fairaudit.cli, fairaudit.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 HEADER = FIXTURE_CSV_HEADER

@@ -60,6 +60,14 @@ class TestValidation:
         assert picked.features.tolist() == [[6.0, 7.0], [2.0, 3.0]]
         masked = pop.take(pop.group == 1)
         assert len(masked) == 2 and masked.score.tolist() == [0.2, 0.3]
+        for wrong_length in (np.ones(3, dtype=bool), np.ones(5, dtype=bool)):
+            with pytest.raises(IndexError):
+                pop.take(wrong_length)
+        empty = pop.take(np.zeros(4, dtype=bool))
+        assert len(empty) == 0 and empty.features.shape == (0, 2)
+        assert empty.label.shape == (0,)
+        mask = np.array([True, False, True, True])
+        assert same_population(pop.take(mask), pop.take(np.flatnonzero(mask)))
 
 
 class TestGeneratePopulation:

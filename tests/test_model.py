@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairaudit import Model, ModelParams, fit, predict, split
+from fairaudit import (Model, ModelParams, PopulationSpec, build_dataset, fit,
+                       generate_population, make_base_dataset_A, predict, split)
+from fairaudit import model as model_module
+from fairaudit.bias import ALL_BIAS_SPECS
 from fairaudit.model import (penalized_objective, smooth_gradient,
                              subgradient_violation, _design_matrix)
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from conftest import make_population, same_population
+from oracles import fit_oracle
 
 
 def make_labeled(n, seed, d=3, rule=None):
@@ -263,3 +267,38 @@ class TestSerialization:
         p = ModelParams(lam=0.02, alpha=0.9, include_group_feature=True)
         assert ModelParams.from_dict(p.to_dict()) == p
         assert "lambda" in p.to_dict()
+
+
+class TestFitMatchesOracle:
+    @pytest.mark.parametrize("seed", [41, 97])
+    @pytest.mark.parametrize("base", ["A", "B"])
+    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
+    def test_bit_identical_on_grid_cells(self, spec, base, seed):
+        pop = generate_population(PopulationSpec(
+            n_group0=1000, n_group1=500, target_positive_rate_group0=0.5408,
+            target_positive_rate_group1=0.1217, feature_dim=3, noise_scale=3.0,
+            seed=seed))
+        if base == "A":
+            pop = make_base_dataset_A(pop, seed=seed + 2)
+        train, _ = split(build_dataset(pop, spec, seed=seed + 3), 0.7, seed=seed + 4)
+        params = ModelParams(lam=0.01, alpha=0.5, include_group_feature=base == "A")
+        got, want = fit(train, params), fit_oracle(train, params)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.intercept.hex() == want.intercept.hex()
+        assert got.n_iters == want.n_iters and got.converged == want.converged
+        assert [v.hex() for v in got.objective_history] == \
+            [v.hex() for v in want.objective_history]
+
+    def test_bit_identical_through_fallback_step(self, monkeypatch):
+        data = balanced_labeled(200, 13)
+        params = ModelParams(lam=1e-4, alpha=0.5)
+        objectives = []
+        real = model_module._objective
+        monkeypatch.setattr(model_module, "_objective",
+                            lambda *a: objectives.append(real(*a)) or objectives[-1])
+        got, want = fit(data, params), fit_oracle(data, params)
+        # one objective at the start, one per iterate, one more per fallback
+        assert len(objectives) > 1 + got.n_iters, "no iterate took the fallback"
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.intercept.hex() == want.intercept.hex()
+        assert got.objective_history == want.objective_history

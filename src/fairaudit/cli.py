@@ -76,9 +76,7 @@ def _load_config(path, seed_override=None, trials_override=None) -> harness.Expe
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config, args.seed)
-    spec = replace(config.population,
-                   seed=harness.stable_hash(config.base_seed, "population"))
-    pop = generate_population(spec)
+    pop = generate_population(harness.population_spec(config))
     write_population_csv(pop, args.out)
     print(f"wrote {len(pop)} records to {args.out}")
     print(f"{'':12s} {'score>=0.5':>12s} {'score<0.5':>12s} {'total':>10s} {'rate':>8s}")

@@ -70,11 +70,13 @@ class Population:
 
 
 def _binary(name: str, values) -> np.ndarray:
-    values = np.asarray(values)
+    """values as contiguous int64, after checking each is 0 or 1 in its own dtype."""
+    # contiguous first: the check reads a strided view (a CSV field) about 2x slower
+    values = np.ascontiguousarray(values)
     # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
     if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
-    return values.astype(np.int64)
+    return values.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,10 @@ class PopulationSpec:
             raise ValidationError(f"feature_dim must be >= 2, got {self.feature_dim}")
         if not 0.0 <= self.proxy_strength <= 1.0:
             raise ValidationError(f"proxy_strength must lie in [0, 1], got {self.proxy_strength}")
-        if self.noise_scale <= 0:
-            raise ValidationError(f"noise_scale must be positive, got {self.noise_scale}")
-        if self.score_concentration <= 0:
-            raise ValidationError(
-                f"score_concentration must be positive, got {self.score_concentration}"
-            )
+        for name in ("noise_scale", "score_concentration"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 def _beta_shape(rate: float, concentration: float) -> tuple[float, float]:

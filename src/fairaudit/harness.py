@@ -24,7 +24,7 @@ from .datagen import (Population, PopulationSpec, generate_population,
 from .errors import (DegenerateDatasetError, ExperimentError,
                      NumericalFailureError, ValidationError)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
-from .model import ModelParams, fit, predict, split
+from .model import MODEL_KEYS, ModelParams, fit, predict, split
 
 
 def stable_hash(*parts) -> int:
@@ -61,47 +61,25 @@ class ExperimentConfig:
             raise ValidationError(f"min_cell_count must be >= 1, got {self.min_cell_count}")
 
     def to_dict(self) -> dict:
-        pop = self.population
-        return {
-            "experiment": self.experiment,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "min_cell_count": self.min_cell_count,
-            "population": {
-                "n_group0": pop.n_group0,
-                "n_group1": pop.n_group1,
-                "positive_rate_group0": pop.target_positive_rate_group0,
-                "positive_rate_group1": pop.target_positive_rate_group1,
-                "feature_dim": pop.feature_dim,
-                "proxy_strength": pop.proxy_strength,
-                "noise_scale": pop.noise_scale,
-                "score_concentration": pop.score_concentration,
-            },
-            "label_policy_biased": {
-                "threshold_group0": self.biased_label_policy.threshold_group0,
-                "threshold_group1": self.biased_label_policy.threshold_group1,
-            },
-            "label_policy_unbiased": {
-                "threshold_group0": self.unbiased_label_policy.threshold_group0,
-                "threshold_group1": self.unbiased_label_policy.threshold_group1,
-            },
-            "sample_policy_biased": _sample_policy_dict(self.biased_sample_policy),
-            "sample_policy_unbiased": _sample_policy_dict(self.unbiased_sample_policy),
-            "model": self.model.to_dict(),
-        }
-
-
-def _sample_policy_dict(p: SamplePolicy) -> dict:
-    return {"cutoff": p.cutoff, "p_group0_high": p.p_group0_high,
-            "p_group0_low": p.p_group0_low, "p_group1_high": p.p_group1_high,
-            "p_group1_low": p.p_group1_low}
+        """The config under its config-file keys: [experiment] at the top level by
+        field name, every other section under its name with "." -> "_"."""
+        out = {}
+        for section, (target, keys) in _CONFIG_NAMES.items():
+            if target:
+                part = getattr(self, target)
+                out[section.replace(".", "_")] = {key: getattr(part, name)
+                                                  for key, name in keys.items()}
+            else:
+                out.update({name: getattr(self, name) for name in keys.values()})
+        return out
 
 
 _LABEL_POLICY_KEYS = {k: k for k in ("threshold_group0", "threshold_group1")}
 _SAMPLE_POLICY_KEYS = {k: k for k in ("cutoff", "p_group0_high", "p_group0_low",
                                       "p_group1_high", "p_group1_low")}
 # every config section: the ExperimentConfig field it sets ("" = ExperimentConfig
-# itself) and {config key: field name}; any other section or key is rejected
+# itself) and {config key: field name}; load_config and to_dict both read it, and
+# any other section or key is rejected
 _CONFIG_NAMES = {
     "experiment": ("", {"name": "experiment", "trials": "trials", "base_seed": "base_seed",
                         "min_cell_count": "min_cell_count"}),
@@ -115,10 +93,7 @@ _CONFIG_NAMES = {
     "label_policy.unbiased": ("unbiased_label_policy", _LABEL_POLICY_KEYS),
     "sample_policy.biased": ("biased_sample_policy", _SAMPLE_POLICY_KEYS),
     "sample_policy.unbiased": ("unbiased_sample_policy", _SAMPLE_POLICY_KEYS),
-    "model": ("model", {
-        "lambda": "lam", "alpha": "alpha", "max_iters": "max_iters", "tolerance": "tolerance",
-        "train_fraction": "train_fraction", "include_group_feature": "include_group_feature",
-        "prediction_threshold": "prediction_threshold"}),
+    "model": ("model", MODEL_KEYS),
 }
 
 
@@ -166,10 +141,14 @@ def bundled_config_path(name: str):
     return files("fairaudit").joinpath("configs", name)
 
 
+def population_spec(config: ExperimentConfig) -> PopulationSpec:
+    """The config's population spec, seeded from its base seed."""
+    return replace(config.population, seed=stable_hash(config.base_seed, "population"))
+
+
 def build_base(config: ExperimentConfig) -> Population:
     """Generate the population and construct the experiment's base dataset."""
-    pop_spec = replace(config.population, seed=stable_hash(config.base_seed, "population"))
-    pop = generate_population(pop_spec)
+    pop = generate_population(population_spec(config))
     if config.experiment == "A":
         return make_base_dataset_A(pop, stable_hash(config.base_seed, "base-A"))
     return make_base_dataset_B(pop)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import _binary
 from .errors import UndefinedMetricError, ValidationError
 
 METRIC_NAMES = (
@@ -38,21 +39,17 @@ class GroupedOutcomes:
     label_hat: np.ndarray
 
     def __post_init__(self):
+        self.group = _binary("group", self.group)
+        self.label = _binary("label", self.label)
         # contiguous: a field of a structured array (a CSV read) is a strided view
-        self.group = np.ascontiguousarray(self.group, dtype=int)
-        self.label = np.ascontiguousarray(self.label, dtype=int)
         self.score_hat = np.ascontiguousarray(self.score_hat, dtype=float)
-        self.label_hat = np.ascontiguousarray(self.label_hat, dtype=int)
+        self.label_hat = _binary("label_hat", self.label_hat)
         n = self.group.size
         if n == 0:
             raise ValidationError("outcomes must be non-empty")
         for name in ("label", "score_hat", "label_hat"):
             if getattr(self, name).size != n:
                 raise ValidationError(f"{name} is not aligned with group")
-        for name in ("group", "label", "label_hat"):
-            arr = getattr(self, name)
-            if not ((arr == 0) | (arr == 1)).all():
-                raise ValidationError(f"{name} must be binary")
         if not ((self.score_hat >= 0.0) & (self.score_hat <= 1.0)).all():
             raise ValidationError("score_hat must lie in [0, 1]")
 

@@ -20,6 +20,13 @@ from .datagen import Population
 from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 
 
+# [model] config key -> ModelParams field; the config file and to_dict/from_dict use these keys
+MODEL_KEYS = {"lambda": "lam", "alpha": "alpha", "max_iters": "max_iters",
+              "tolerance": "tolerance", "train_fraction": "train_fraction",
+              "include_group_feature": "include_group_feature",
+              "prediction_threshold": "prediction_threshold"}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     lam: float = 1e-3            # overall regularization strength (lambda)
@@ -31,6 +38,9 @@ class ModelParams:
     prediction_threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("lam", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValidationError(f"lam must be nonnegative, got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -47,22 +57,11 @@ class ModelParams:
                 f"prediction_threshold must lie in [0, 1], got {self.prediction_threshold}")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "max_iters": self.max_iters,
-            "tolerance": self.tolerance,
-            "train_fraction": self.train_fraction,
-            "include_group_feature": self.include_group_feature,
-            "prediction_threshold": self.prediction_threshold,
-        }
+        return {key: getattr(self, name) for key, name in MODEL_KEYS.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(lam=d["lambda"], alpha=d["alpha"], max_iters=d["max_iters"],
-                   tolerance=d["tolerance"], train_fraction=d["train_fraction"],
-                   include_group_feature=d["include_group_feature"],
-                   prediction_threshold=d["prediction_threshold"])
+        return cls(**{name: d[key] for key, name in MODEL_KEYS.items()})
 
 
 @dataclass

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import fairaudit
+from fairaudit.datagen import write_population_csv
+from fairaudit.harness import build_base, load_config
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
 from oracles import read_predictions_oracle
@@ -78,6 +80,13 @@ class TestGenerate:
         main(["generate", "--config", config_file, "--out", str(a)])
         main(["generate", "--config", config_file, "--out", str(b), "--seed", "77"])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_matches_base_dataset_B(self, config_file, tmp_path):
+        # experiment B's base dataset is the population itself, seeded the same way
+        out, base = tmp_path / "pop.csv", tmp_path / "base.csv"
+        assert main(["generate", "--config", config_file, "--out", str(out)]) == 0
+        write_population_csv(build_base(load_config(config_file)), base)
+        assert out.read_bytes() == base.read_bytes()
 
     def test_missing_config_exits_2_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "pop.csv"
@@ -223,6 +232,14 @@ class TestExperiment:
             for m in d["metrics"].values():
                 if m["mean"] is not None:
                     assert m["std"] == 0.0
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(SMALL_CFG + "tolerance = nan\n")
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert "tolerance must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_reruns_byte_identical(self, config_file, tmp_path):
         main(["experiment", "--config", config_file, "--out",

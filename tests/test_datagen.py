@@ -28,6 +28,8 @@ class TestValidation:
         ("target_positive_rate_group1", 1.0),
         ("feature_dim", 1), ("proxy_strength", 1.5),
         ("noise_scale", 0.0), ("score_concentration", -1.0),
+        ("noise_scale", math.nan), ("noise_scale", math.inf),
+        ("score_concentration", math.nan), ("score_concentration", math.inf),
     ])
     def test_invalid_spec_names_field(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 from dataclasses import replace
@@ -7,11 +8,11 @@ import pytest
 
 from fairaudit import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
-                       ExperimentConfig, ExperimentReport, ModelParams,
-                       PopulationSpec, bundled_config_path, load_config,
+                       ExperimentConfig, ExperimentReport, LabelPolicy, ModelParams,
+                       PopulationSpec, SamplePolicy, bundled_config_path, load_config,
                        rank_datasets, rank_means, run_experiment, run_trial,
                        stable_hash)
-from fairaudit.harness import DEFAULT_POPULATION, build_base
+from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
 from fairaudit.errors import ExperimentError, ValidationError
 
@@ -118,6 +119,87 @@ class TestConfig:
         assert cfg.model.lam == 0.05 and cfg.model.alpha == 0.9
         # unspecified sections keep the defaults
         assert cfg.unbiased_label_policy == UNBIASED_LABEL_POLICY
+
+
+BUNDLED_CONFIGS = ["experiment_A.cfg", "experiment_B.cfg"]
+
+
+def read_ini(path) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
+    assert parser.read(path)
+    return parser
+
+
+def ini_value(section, key, like):
+    """section[key] parsed as the type of `like`."""
+    return section.getboolean(key) if type(like) is bool else type(like)(section[key])
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_bundled_config_names_every_key(self, name):
+        parser = read_ini(bundled_config_path(name))
+        assert {section: set(parser[section]) for section in parser.sections()} == {
+            section: set(keys) for section, (_, keys) in _CONFIG_NAMES.items()}
+
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_to_dict_uses_config_file_names(self, name):
+        path = bundled_config_path(name)
+        parser = read_ini(path)
+        # (section, key) -> value, undoing the naming rule: [experiment] keys at the
+        # top level with name -> experiment, other sections under "." -> "_"
+        named = {}
+        for block, values in load_config(path).to_dict().items():
+            if isinstance(values, dict):
+                named.update({(block, key): value for key, value in values.items()})
+            else:
+                named["experiment", "name" if block == "experiment" else block] = values
+        ini = {(section.replace(".", "_"), key): parser[section]
+               for section in parser.sections() for key in parser[section]}
+        assert named.keys() == ini.keys()
+        for (block, key), value in named.items():
+            assert ini_value(ini[block, key], key, value) == value, (block, key)
+
+    def test_to_dict_round_trips_through_ini(self, tmp_path):
+        config = ExperimentConfig(
+            experiment="B",
+            population=PopulationSpec(
+                n_group0=1001, n_group1=999, target_positive_rate_group0=0.45,
+                target_positive_rate_group1=0.2, feature_dim=3, proxy_strength=0.6,
+                noise_scale=2.5, score_concentration=1.5),
+            biased_label_policy=LabelPolicy(0.35, 0.65),
+            unbiased_label_policy=LabelPolicy(0.45, 0.55),
+            biased_sample_policy=SamplePolicy(cutoff=0.4, p_group0_high=0.7,
+                                              p_group0_low=0.3, p_group1_high=0.9,
+                                              p_group1_low=0.6),
+            unbiased_sample_policy=SamplePolicy(cutoff=0.6, p_group0_high=0.4,
+                                                p_group0_low=0.45, p_group1_high=0.35,
+                                                p_group1_low=0.25),
+            model=ModelParams(lam=0.02, alpha=0.25, max_iters=50, tolerance=1e-5,
+                              train_fraction=0.6, include_group_feature=True,
+                              prediction_threshold=0.4),
+            trials=3, base_seed=7, min_cell_count=4)
+        out = config.to_dict()
+
+        def leaves(d):
+            return {(k, kk): vv for k, v in d.items()
+                    for kk, vv in (v.items() if isinstance(v, dict) else [(None, v)])}
+
+        values, defaults = leaves(out), leaves(ExperimentConfig().to_dict())
+        assert values.keys() == defaults.keys()
+        assert all(v != defaults[k] for k, v in values.items())
+        sections = {s.replace(".", "_"): s
+                    for s in read_ini(bundled_config_path(BUNDLED_CONFIGS[0])).sections()}
+        parser = configparser.ConfigParser()
+        parser["experiment"] = {("name" if k == "experiment" else k): str(v)
+                                for k, v in out.items() if not isinstance(v, dict)}
+        for block, values in out.items():
+            if isinstance(values, dict):
+                parser[sections[block]] = {k: str(v) for k, v in values.items()}
+        path = tmp_path / "all.cfg"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert load_config(path) == config
 
 
 class TestRunTrial:

@@ -338,6 +338,16 @@ class TestValidation:
             GroupedOutcomes(group=[0, 2], label=[0, 1], score_hat=[0.5, 0.5],
                             label_hat=[0, 1])
 
+    @pytest.mark.parametrize("name,values", [("group", [0.0, 1.9, 0.5, 1.0]),
+                                             ("label", [0.7, 1, 0, 1]),
+                                             ("label_hat", [0, 1, 1, 0.99])])
+    def test_non_integer_binary_rejected(self, name, values):
+        columns = dict(group=[0, 1, 0, 1], label=[0, 1, 0, 1],
+                       score_hat=[.2, .4, .6, .8], label_hat=[0, 1, 1, 0])
+        columns[name] = values
+        with pytest.raises(ValidationError, match=f"^{name} must be 0 or 1"):
+            GroupedOutcomes(**columns)
+
     def test_score_out_of_range(self):
         with pytest.raises(ValidationError):
             GroupedOutcomes(group=[0, 1], label=[0, 1], score_hat=[0.5, 1.5],

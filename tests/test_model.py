@@ -208,6 +208,12 @@ class TestFit:
         with pytest.raises(ValidationError):
             ModelParams(train_fraction=0.0)
 
+    @pytest.mark.parametrize("field", ["lam", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_params_reject_non_finite(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ModelParams(**{field: value})
+
 
 class TestPredict:
     def test_zero_model_scores_half(self):

@@ -63,9 +63,6 @@ BIASED_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=0.8, p_group0_low=
                                     p_group1_high=1.0, p_group1_low=1.0)
 UNBIASED_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=0.5, p_group0_low=0.5,
                                       p_group1_high=0.5, p_group1_low=0.5)
-# deterministic variant for exact unit tests
-KEEP_ALL_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=1.0, p_group0_low=1.0,
-                                      p_group1_high=1.0, p_group1_low=1.0)
 
 ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
                   BiasSpec(False, True), BiasSpec(True, True))
@@ -103,8 +100,6 @@ def build_dataset(pop: Population, spec: BiasSpec, seed: int, *,
     Raises DegenerateDatasetError when any (group, label) cell ends up with
     fewer than min_cell_count records.
     """
-    if not pop:
-        raise ValidationError("population must be non-empty")
     sample_policy = biased_sample_policy if spec.sample_bias else unbiased_sample_policy
     label_policy = biased_label_policy if spec.label_bias else unbiased_label_policy
     kept = apply_sample_policy(pop, sample_policy, seed)

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
+# cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
 from .bias import ALL_BIAS_SPECS, build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
 from .errors import (DataFormatError, DegenerateDatasetError, EmptySelectionError,
@@ -93,14 +94,9 @@ def cmd_generate(args) -> int:
 def cmd_build(args) -> int:
     config = _load_config(args.config, args.seed)
     base = harness.build_base(config)
-    bias_spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == args.dataset)
-    data = build_dataset(base, bias_spec,
-                         harness.stable_hash(config.base_seed, args.dataset, "build"),
-                         biased_label_policy=config.biased_label_policy,
-                         unbiased_label_policy=config.unbiased_label_policy,
-                         biased_sample_policy=config.biased_sample_policy,
-                         unbiased_sample_policy=config.unbiased_sample_policy,
-                         min_cell_count=config.min_cell_count)
+    data = harness.trial_dataset(config, ALL_BIAS_SPECS[args.dataset - 1],
+                                 harness.stable_hash(config.base_seed, args.dataset, "build"),
+                                 base)
     write_labeled_csv(data, args.out)
     print(f"wrote dataset {args.dataset} ({len(data)} records) to {args.out}")
     return EXIT_OK

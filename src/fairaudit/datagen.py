@@ -219,10 +219,3 @@ def write_population_csv(pop: Population, path) -> None:
             row[2] = format(row[2], ".12g")  # the score
             writer.writerow(row + [format(x, ".12g") for x in features])
 
-
-def positive_rate(pop: Population, group: int, threshold: float = 0.5) -> float:
-    """Fraction of a group's records with score >= threshold."""
-    scores = pop.score[pop.group == group]
-    if not scores.size:
-        raise EmptySelectionError(f"no records in group {group}")
-    return int(np.count_nonzero(scores >= threshold)) / scores.size

@@ -101,15 +101,14 @@ def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from an INI-style config file.
 
     Each value is parsed as the type of its default; keys a section leaves
-    out keep their defaults.
+    out keep their defaults. Errors name the file, section and key.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"config file not found or unreadable: {path}")
-    defaults = ExperimentConfig()
-    kwargs = {}
+    # no section name can be empty, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(default_section="")
     try:
+        if not parser.read(path):
+            raise ValidationError(f"config file not found or unreadable: {path}")
+        config = ExperimentConfig()
         for name in parser.sections():
             if name not in _CONFIG_NAMES:
                 raise ValidationError(f"invalid config {path}: unknown section [{name}]")
@@ -119,18 +118,25 @@ def load_config(path) -> ExperimentConfig:
             if unknown:
                 raise ValidationError(f"invalid config {path}: unknown key(s) "
                                       f"{', '.join(unknown)} in [{name}]")
-            base = getattr(defaults, target) if target else defaults
+            base = getattr(config, target) if target else config
             values = {}
             for key in section:
                 default = getattr(base, fields[key])
-                values[fields[key]] = (section.getboolean(key) if type(default) is bool
-                                       else type(default)(section[key]))
-            if target:
-                kwargs[target] = replace(base, **values)
-            else:
-                kwargs.update(values)
-        return ExperimentConfig(**kwargs)
-    except (ValueError, configparser.Error) as e:
+                try:
+                    values[fields[key]] = (section.getboolean(key) if type(default) is bool
+                                           else type(default)(section[key]))
+                except (ValueError, configparser.Error) as e:
+                    raise ValidationError(f"invalid config {path}: [{name}] {key}: {e}") from e
+            try:
+                part = replace(base, **values)
+            except ValidationError as e:
+                # the dataclass check names its field; say which config key that is
+                field, _, rest = str(e).partition(" ")
+                named = next((f"{key} {rest}" for key, f in fields.items() if f == field), e)
+                raise ValidationError(f"invalid config {path}: [{name}] {named}") from e
+            config = replace(config, **{target: part}) if target else part
+        return config
+    except configparser.Error as e:
         raise ValidationError(f"invalid config {path}: {e}") from e
 
 
@@ -154,17 +160,21 @@ def build_base(config: ExperimentConfig) -> Population:
     return make_base_dataset_B(pop)
 
 
-def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
-              base: Population | None = None) -> MetricReport:
-    """One pipeline pass: build -> split -> fit -> predict -> audit."""
-    if base is None:
-        base = build_base(config)
-    data = build_dataset(base, bias_spec, stable_hash(trial_seed, "sample"),
+def trial_dataset(config: ExperimentConfig, bias_spec: BiasSpec, seed: int,
+                  base: Population) -> Population:
+    """The config's bias-grid dataset for bias_spec, sampled from base with seed."""
+    return build_dataset(base, bias_spec, seed,
                          biased_label_policy=config.biased_label_policy,
                          unbiased_label_policy=config.unbiased_label_policy,
                          biased_sample_policy=config.biased_sample_policy,
                          unbiased_sample_policy=config.unbiased_sample_policy,
                          min_cell_count=config.min_cell_count)
+
+
+def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
+              base: Population) -> MetricReport:
+    """One pipeline pass on build_base(config): build -> split -> fit -> predict -> audit."""
+    data = trial_dataset(config, bias_spec, stable_hash(trial_seed, "sample"), base)
     train, test = split(data, config.model.train_fraction, stable_hash(trial_seed, "split"))
     model = fit(train, config.model)
     preds = predict(model, test)

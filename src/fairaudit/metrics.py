@@ -79,43 +79,6 @@ def _require_groups(counts: np.ndarray, order: tuple[int, int]) -> None:
             raise UndefinedMetricError(f"group {s} is absent")
 
 
-@dataclass
-class JointCounts:
-    """2x2 counts of (predicted label, group) with derived probabilities."""
-
-    counts: np.ndarray  # counts[yhat][s]
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (2, 2):
-            raise ValidationError("counts must be a 2x2 table")
-        if (self.counts < 0).any():
-            raise ValidationError("counts must be nonnegative")
-        if self.counts.sum() <= 0:
-            raise ValidationError("counts must not all be zero")
-
-    @classmethod
-    def from_cells(cls, counts: np.ndarray) -> "JointCounts":
-        """The (Ŷ, S) margin of a cell_counts table."""
-        return cls(counts.sum(axis=1).T)
-
-    @classmethod
-    def from_outcomes(cls, data: GroupedOutcomes) -> "JointCounts":
-        return cls.from_cells(cell_counts(data))
-
-    @property
-    def joint_probs(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
-    @property
-    def yhat_marginal(self) -> np.ndarray:
-        return self.joint_probs.sum(axis=1)
-
-    @property
-    def s_marginal(self) -> np.ndarray:
-        return self.joint_probs.sum(axis=0)
-
-
 def mean_score_difference(data: GroupedOutcomes) -> float:
     """E{ŷ | S=1} - E{ŷ | S=0} on continuous scores."""
     m1, m0 = data._group_mask(1), data._group_mask(0)
@@ -171,10 +134,17 @@ def entropy(dist) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def nmi_from_counts(joint: JointCounts) -> float:
-    """NMI of the 2x2 joint; 0 when either marginal entropy vanishes."""
-    p = joint.joint_probs
-    py, ps = joint.yhat_marginal, joint.s_marginal
+def nmi_from_counts(counts) -> float:
+    """NMI of a 2x2 count table indexed [yhat, s]; 0 when either marginal entropy vanishes."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (2, 2):
+        raise ValidationError("counts must be a 2x2 table")
+    if (counts < 0).any():
+        raise ValidationError("counts must be nonnegative")
+    if counts.sum() <= 0:
+        raise ValidationError("counts must not all be zero")
+    p = counts / counts.sum()
+    py, ps = p.sum(axis=1), p.sum(axis=0)
     hy, hs = entropy(py), entropy(ps)
     if hy == 0.0 or hs == 0.0:
         return 0.0
@@ -188,7 +158,7 @@ def nmi_from_counts(joint: JointCounts) -> float:
 
 def _nmi(counts: np.ndarray) -> float:
     _require_groups(counts, (0, 1))
-    return nmi_from_counts(JointCounts.from_cells(counts))
+    return nmi_from_counts(counts.sum(axis=1).T)  # the (Ŷ, S) margin
 
 
 def normalized_mutual_information(data: GroupedOutcomes) -> float:

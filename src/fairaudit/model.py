@@ -20,7 +20,7 @@ from .datagen import Population
 from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 
 
-# [model] config key -> ModelParams field; the config file and to_dict/from_dict use these keys
+# [model] config key -> ModelParams field, read by harness._CONFIG_NAMES
 MODEL_KEYS = {"lambda": "lam", "alpha": "alpha", "max_iters": "max_iters",
               "tolerance": "tolerance", "train_fraction": "train_fraction",
               "include_group_feature": "include_group_feature",
@@ -56,13 +56,6 @@ class ModelParams:
             raise ValidationError(
                 f"prediction_threshold must lie in [0, 1], got {self.prediction_threshold}")
 
-    def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in MODEL_KEYS.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(**{name: d[key] for key, name in MODEL_KEYS.items()})
-
 
 @dataclass
 class Model:
@@ -75,31 +68,11 @@ class Model:
     n_iters: int = 0
     objective_history: list = field(default_factory=list, repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "intercept": float(self.intercept),
-            "feature_means": [float(m) for m in self.feature_means],
-            "feature_scales": [float(s) for s in self.feature_scales],
-            "params": self.params.to_dict(),
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Model":
-        return cls(coefficients=np.asarray(d["coefficients"], dtype=float),
-                   intercept=float(d["intercept"]),
-                   feature_means=np.asarray(d["feature_means"], dtype=float),
-                   feature_scales=np.asarray(d["feature_scales"], dtype=float),
-                   params=ModelParams.from_dict(d["params"]),
-                   converged=bool(d["converged"]))
-
 
 @dataclass
 class Predictions:
     score_hat: np.ndarray  # sigmoid scores in [0, 1]
-    label_hat: np.ndarray  # 1 iff score_hat >= threshold
-    threshold: float
+    label_hat: np.ndarray  # 1 iff score_hat >= params.prediction_threshold
 
 
 def split(data: Population, train_fraction: float,
@@ -153,15 +126,10 @@ def _soft(x: float, threshold: float) -> float:
     return 0.0
 
 
-def penalized_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                        intercept: float, lam: float, alpha: float) -> float:
-    """Mean logistic loss plus the elastic-net penalty (intercept unpenalized)."""
-    return _objective(X @ beta + intercept, y, beta, lam, alpha)
-
-
 def _objective(eta: np.ndarray, y: np.ndarray, beta: np.ndarray,
                lam: float, alpha: float) -> float:
-    """penalized_objective given the linear predictor eta = X @ beta + intercept."""
+    """Mean logistic loss plus the elastic-net penalty (intercept unpenalized), given
+    the linear predictor eta = X @ beta + intercept."""
     loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
     penalty = lam * (alpha * float(np.abs(beta).sum())
                      + 0.5 * (1.0 - alpha) * float(beta @ beta))
@@ -283,7 +251,7 @@ def fit(train: Population, params: ModelParams) -> Model:
                  n_iters=iters, objective_history=history)
 
 
-def predict(model: Model, records: Population, threshold: float | None = None) -> Predictions:
+def predict(model: Model, records: Population) -> Predictions:
     """Score records with the fitted model and threshold into labels (ties map to 1)."""
     from scipy.special import expit
 
@@ -294,7 +262,5 @@ def predict(model: Model, records: Population, threshold: float | None = None) -
             f"records have {X_raw.shape[1]}")
     X = (X_raw - model.feature_means) / model.feature_scales
     score = expit(X @ model.coefficients + model.intercept)
-    t = model.params.prediction_threshold if threshold is None else threshold
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"threshold must lie in [0, 1], got {t}")
-    return Predictions(score_hat=score, label_hat=(score >= t).astype(int), threshold=t)
+    return Predictions(score_hat=score,
+                       label_hat=(score >= model.params.prediction_threshold).astype(int))

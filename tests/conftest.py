@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from fairaudit import GroupedOutcomes, Population
+from fairaudit import GroupedOutcomes, Population, SamplePolicy
+from fairaudit.errors import EmptySelectionError
+
+# keeps every record: sampling becomes the identity, for exact unit tests
+KEEP_ALL_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=1.0, p_group0_low=1.0,
+                                      p_group1_high=1.0, p_group1_low=1.0)
 
 
 def make_population(groups, scores, features=None, labels=None):
@@ -10,6 +15,14 @@ def make_population(groups, scores, features=None, labels=None):
     if features is None:
         features = np.zeros((n, 2))
     return Population(np.arange(n), groups, scores, features, labels)
+
+
+def positive_rate(pop, group, threshold=0.5):
+    """Fraction of a group's records with score >= threshold."""
+    scores = pop.score[pop.group == group]
+    if not scores.size:
+        raise EmptySelectionError(f"no records in group {group}")
+    return int(np.count_nonzero(scores >= threshold)) / scores.size
 
 
 def same_population(a, b):

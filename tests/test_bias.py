@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from fairaudit import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
-                       KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY,
-                       UNBIASED_SAMPLE_POLICY, BiasSpec, LabelPolicy,
+                       UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec, LabelPolicy,
                        PopulationSpec, SamplePolicy, apply_label_policy,
                        apply_sample_policy, build_dataset, generate_population,
                        make_base_dataset_A, split)
 from fairaudit.bias import ALL_BIAS_SPECS
-from fairaudit.datagen import positive_rate
 from fairaudit.errors import DegenerateDatasetError, ValidationError
-from conftest import make_population, same_population
+from conftest import (KEEP_ALL_SAMPLE_POLICY, make_population, positive_rate,
+                      same_population)
 from oracles import sample_label_split_oracle
 
 

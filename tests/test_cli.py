@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import fairaudit
+from fairaudit.bias import ALL_BIAS_SPECS, write_labeled_csv
 from fairaudit.datagen import write_population_csv
-from fairaudit.harness import build_base, load_config
+from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
 from oracles import read_predictions_oracle
@@ -115,6 +116,18 @@ class TestBuild:
     def test_invalid_dataset_index_exits_2(self, config_file, tmp_path):
         assert main(["build", "--config", config_file, "--dataset", "5",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_samples_with_build_seed(self, config_file, tmp_path, k):
+        # build's own seed scheme, stable_hash(base_seed, k, "build"), matches no trial
+        out, expected = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["build", "--config", config_file, "--dataset", str(k),
+                     "--out", str(out)]) == 0
+        config = load_config(config_file)
+        spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
+        write_labeled_csv(trial_dataset(config, spec, stable_hash(config.base_seed, k, "build"),
+                                        build_base(config)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestAudit:
@@ -240,6 +253,13 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
         assert "tolerance must be finite" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_config_error_names_file_section_and_key(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text("[model]\nlambda = nan\n")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert (f"error: invalid config {path}: [model] lambda must be finite, got nan"
+                in capsys.readouterr().err)
 
     def test_reruns_byte_identical(self, config_file, tmp_path):
         main(["experiment", "--config", config_file, "--out",

@@ -7,9 +7,8 @@ import pytest
 from fairaudit import (Population, PopulationSpec, generate_population,
                        make_base_dataset_A, make_base_dataset_B,
                        write_population_csv)
-from fairaudit.datagen import positive_rate
 from fairaudit.errors import EmptySelectionError, ValidationError
-from conftest import make_population, same_population
+from conftest import make_population, positive_rate, same_population
 
 
 def small_spec(**overrides):

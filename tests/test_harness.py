@@ -81,13 +81,42 @@ class TestConfig:
     def test_load_config_bad_value(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[experiment]\nname = A\ntrials = many\n")
-        with pytest.raises(ValidationError, match="invalid config"):
+        with pytest.raises(ValidationError, match=r"invalid config .*: \[experiment\] trials: "):
+            load_config(path)
+
+    def test_load_config_bad_interpolation_names_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[experiment]\nname = 5%\n")
+        with pytest.raises(ValidationError, match=r"invalid config .*: \[experiment\] name: "):
+            load_config(path)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("model", "lambda", "nan", "lambda must be finite, got nan"),
+        ("label_policy.unbiased", "threshold_group0", "2",
+         "threshold_group0 must lie in [0, 1], got 2.0"),
+        ("experiment", "name", "a", "name must be 'A' or 'B', got 'a'"),
+        ("population", "positive_rate_group0", "1.5",
+         "positive_rate_group0 must lie strictly inside (0, 1), got 1.5"),
+    ])
+    def test_load_config_error_names_section_and_key(self, tmp_path, section, key, value,
+                                                      message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == f"invalid config {path}: [{section}] {message}"
+
+    def test_load_config_without_section_header(self, tmp_path):
+        path = tmp_path / "flat.cfg"
+        path.write_text("trials = 3\n")
+        with pytest.raises(ValidationError, match="invalid config .*no section headers"):
             load_config(path)
 
     @pytest.mark.parametrize("text,name", [
         ("[experiment]\nname = A\ntrails = 3\n", "trails"),
         ("[modle]\nlambda = 0.1\n", "modle"),
         ("[model]\nlamda = 9\n", "lamda"),
+        ("[DEFAULT]\ntrials = 3\n", "DEFAULT"),
     ])
     def test_load_config_rejects_unknown_names(self, tmp_path, text, name):
         path = tmp_path / "typo.cfg"

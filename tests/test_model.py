@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -7,15 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairaudit import (Model, ModelParams, PopulationSpec, build_dataset, fit,
+from fairaudit import (ModelParams, PopulationSpec, build_dataset, fit,
                        generate_population, make_base_dataset_A, predict, split)
 from fairaudit import model as model_module
 from fairaudit.bias import ALL_BIAS_SPECS
-from fairaudit.model import (penalized_objective, smooth_gradient,
-                             subgradient_violation, _design_matrix)
+from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from conftest import make_population, same_population
-from oracles import fit_oracle
+from oracles import _penalized_objective_oracle, fit_oracle
 
 
 def make_labeled(n, seed, d=3, rule=None):
@@ -137,7 +135,7 @@ class TestFit:
 
         def smooth(beta_, b_):
             # objective minus the L1 part, which the smooth gradient excludes
-            return (penalized_objective(X, y, beta_, b_, lam, alpha)
+            return (_penalized_objective_oracle(X, y, beta_, b_, lam, alpha)
                     - lam * alpha * np.abs(beta_).sum())
 
         for j in range(4):
@@ -227,14 +225,17 @@ class TestPredict:
     def test_threshold_zero_labels_all_one(self):
         data = balanced_labeled(50, 21)
         model = fit(data, ModelParams(lam=0.01))
-        preds = predict(model, data, threshold=0.0)
+        model = replace(model, params=replace(model.params, prediction_threshold=0.0))
+        preds = predict(model, data)
         assert np.all(preds.label_hat == 1)
 
     def test_threshold_monotone(self):
         data = balanced_labeled(80, 22)
         model = fit(data, ModelParams(lam=0.01))
-        lo = predict(model, data, threshold=0.3).label_hat
-        hi = predict(model, data, threshold=0.7).label_hat
+        lo = predict(replace(model, params=replace(model.params, prediction_threshold=0.3)),
+                     data).label_hat
+        hi = predict(replace(model, params=replace(model.params, prediction_threshold=0.7)),
+                     data).label_hat
         assert np.all(hi <= lo)
 
     def test_scores_in_unit_interval(self):
@@ -255,24 +256,6 @@ class TestPredict:
         bare = replace(data, label=None)
         assert np.allclose(predict(model, bare).score_hat,
                            predict(model, data).score_hat)
-
-
-class TestSerialization:
-    def test_model_json_roundtrip(self):
-        data = balanced_labeled(120, 30)
-        model = fit(data, ModelParams(lam=0.01, alpha=0.7))
-        blob = json.dumps(model.to_json_dict())
-        back = Model.from_json_dict(json.loads(blob))
-        assert np.array_equal(back.coefficients, model.coefficients)
-        assert back.intercept == model.intercept
-        assert back.params == model.params
-        assert np.allclose(predict(back, data).score_hat,
-                           predict(model, data).score_hat)
-
-    def test_params_dict_roundtrip(self):
-        p = ModelParams(lam=0.02, alpha=0.9, include_group_feature=True)
-        assert ModelParams.from_dict(p.to_dict()) == p
-        assert "lambda" in p.to_dict()
 
 
 class TestFitMatchesOracle:

@@ -42,30 +42,13 @@ class SamplePolicy:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class BiasSpec:
-    """Which cell of the 2x2 bias grid to materialize."""
-
-    sample_bias: bool
-    label_bias: bool
-
-    @property
-    def dataset_index(self) -> int:
-        # grid numbering: 1 = none, 2 = sample only, 3 = label only, 4 = both
-        return {(False, False): 1, (True, False): 2,
-                (False, True): 3, (True, True): 4}[(self.sample_bias, self.label_bias)]
-
-
-# the constants used throughout the experiments
+# ExperimentConfig's default policies
 BIASED_LABEL_POLICY = LabelPolicy(threshold_group0=0.3, threshold_group1=0.7)
 UNBIASED_LABEL_POLICY = LabelPolicy(threshold_group0=0.5, threshold_group1=0.5)
 BIASED_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=0.8, p_group0_low=0.2,
                                     p_group1_high=1.0, p_group1_low=1.0)
 UNBIASED_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=0.5, p_group0_low=0.5,
                                       p_group1_high=0.5, p_group1_low=0.5)
-
-ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
-                  BiasSpec(False, True), BiasSpec(True, True))
 
 
 def apply_label_policy(pop: Population, policy: LabelPolicy) -> Population:
@@ -89,19 +72,13 @@ def apply_sample_policy(pop: Population, policy: SamplePolicy, seed: int) -> Pop
     return pop.take(u < p[pop.group, high])
 
 
-def build_dataset(pop: Population, spec: BiasSpec, seed: int, *,
-                  biased_label_policy: LabelPolicy = BIASED_LABEL_POLICY,
-                  unbiased_label_policy: LabelPolicy = UNBIASED_LABEL_POLICY,
-                  biased_sample_policy: SamplePolicy = BIASED_SAMPLE_POLICY,
-                  unbiased_sample_policy: SamplePolicy = UNBIASED_SAMPLE_POLICY,
-                  min_cell_count: int = 10) -> Population:
-    """Materialize one bias-grid cell: sample first, then label.
+def build_dataset(pop: Population, sample_policy: SamplePolicy, label_policy: LabelPolicy,
+                  seed: int, min_cell_count: int) -> Population:
+    """Sample pop with sample_policy and seed, then label it with label_policy.
 
     Raises DegenerateDatasetError when any (group, label) cell ends up with
     fewer than min_cell_count records.
     """
-    sample_policy = biased_sample_policy if spec.sample_bias else unbiased_sample_policy
-    label_policy = biased_label_policy if spec.label_bias else unbiased_label_policy
     kept = apply_sample_policy(pop, sample_policy, seed)
     if not kept:
         raise DegenerateDatasetError("sampling kept no records")

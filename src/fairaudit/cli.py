@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 # cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
-from .bias import ALL_BIAS_SPECS, build_dataset, write_labeled_csv
+from .bias import build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
 from .errors import (DataFormatError, DegenerateDatasetError, EmptySelectionError,
                      ExperimentError, NumericalFailureError, ValidationError)
@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build one bias-grid dataset as labeled CSV")
     build.add_argument("--config", required=True)
-    build.add_argument("--dataset", type=int, choices=(1, 2, 3, 4), required=True)
+    build.add_argument("--dataset", type=int, choices=range(1, len(harness.ALL_BIAS_SPECS) + 1),
+                       required=True)
     build.add_argument("--out", required=True)
     build.add_argument("--seed", type=int, default=None)
 
@@ -94,7 +95,7 @@ def cmd_generate(args) -> int:
 def cmd_build(args) -> int:
     config = _load_config(args.config, args.seed)
     base = harness.build_base(config)
-    data = harness.trial_dataset(config, ALL_BIAS_SPECS[args.dataset - 1],
+    data = harness.trial_dataset(config, harness.ALL_BIAS_SPECS[args.dataset - 1],
                                  harness.stable_hash(config.base_seed, args.dataset, "build"),
                                  base)
     write_labeled_csv(data, args.out)
@@ -159,14 +160,15 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
         raise DataFormatError(f"{path}: compressed input ({extension}) is not supported; "
                               "decompress or rename it")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             header_lines = reader.line_num
         if header is None:
             raise DataFormatError(f"{path}: empty file")
-        # any column order; extra columns are ignored; a repeated name means its last one
-        positions = {name: i for i, name in enumerate(header)}
+        # any column order, names stripped; extra columns ignored; a repeated name means its last
+        positions = {name.strip(): i for i, name in enumerate(header)}
         missing = [name for name, _ in PREDICTION_COLUMNS if name not in positions]
         if missing:
             raise DataFormatError(f"{path}: line 1: missing columns {', '.join(missing)}")

@@ -35,9 +35,9 @@ class Population:
     label: np.ndarray | None = None
 
     def __post_init__(self):
-        self.id = np.asarray(self.id, dtype=np.int64)
+        self.id = _column("id", self.id, np.int64)
         self.group = _binary("group", self.group)
-        self.score = np.asarray(self.score, dtype=float)
+        self.score = _column("score", self.score, float)
         self.features = np.asarray(self.features, dtype=float)
         if self.label is not None:
             self.label = _binary("label", self.label)
@@ -69,10 +69,18 @@ class Population:
                           None if self.label is None else self.label.take(index))
 
 
+def _column(name: str, values, dtype=None) -> np.ndarray:
+    """values as a contiguous 1-D array of dtype (by default, their own)."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 1:
+        raise ValidationError(f"{name} must be a 1-D column, got shape {values.shape}")
+    return np.ascontiguousarray(values)
+
+
 def _binary(name: str, values) -> np.ndarray:
-    """values as contiguous int64, after checking each is 0 or 1 in its own dtype."""
+    """values as contiguous 1-D int64, after checking each is 0 or 1 in its own dtype."""
     # contiguous first: the check reads a strided view (a CSV field) about 2x slower
-    values = np.ascontiguousarray(values)
+    values = _column(name, values)
     # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
     if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")

@@ -16,15 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bias import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
-                   UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
-                   LabelPolicy, SamplePolicy, build_dataset)
+from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POLICY,
+                   UNBIASED_SAMPLE_POLICY, LabelPolicy, SamplePolicy, build_dataset)
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
 from .errors import (DegenerateDatasetError, ExperimentError,
                      NumericalFailureError, ValidationError)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
-from .model import MODEL_KEYS, ModelParams, fit, predict, split
+from .model import ModelParams, fit, predict, split
 
 
 def stable_hash(*parts) -> int:
@@ -33,6 +32,21 @@ def stable_hash(*parts) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
+
+@dataclass(frozen=True)
+class BiasSpec:
+    """Which cell of the 2x2 bias grid to materialize; ALL_BIAS_SPECS's order numbers them."""
+
+    sample_bias: bool
+    label_bias: bool
+
+    @property
+    def dataset_index(self) -> int:
+        return ALL_BIAS_SPECS.index(self) + 1
+
+
+ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
+                  BiasSpec(False, True), BiasSpec(True, True))
 
 DEFAULT_POPULATION = PopulationSpec(
     n_group0=39780, n_group1=3551,
@@ -93,7 +107,10 @@ _CONFIG_NAMES = {
     "label_policy.unbiased": ("unbiased_label_policy", _LABEL_POLICY_KEYS),
     "sample_policy.biased": ("biased_sample_policy", _SAMPLE_POLICY_KEYS),
     "sample_policy.unbiased": ("unbiased_sample_policy", _SAMPLE_POLICY_KEYS),
-    "model": ("model", MODEL_KEYS),
+    "model": ("model", {"lambda": "lam", "alpha": "alpha", "max_iters": "max_iters",
+                        "tolerance": "tolerance", "train_fraction": "train_fraction",
+                        "include_group_feature": "include_group_feature",
+                        "prediction_threshold": "prediction_threshold"}),
 }
 
 
@@ -163,12 +180,10 @@ def build_base(config: ExperimentConfig) -> Population:
 def trial_dataset(config: ExperimentConfig, bias_spec: BiasSpec, seed: int,
                   base: Population) -> Population:
     """The config's bias-grid dataset for bias_spec, sampled from base with seed."""
-    return build_dataset(base, bias_spec, seed,
-                         biased_label_policy=config.biased_label_policy,
-                         unbiased_label_policy=config.unbiased_label_policy,
-                         biased_sample_policy=config.biased_sample_policy,
-                         unbiased_sample_policy=config.unbiased_sample_policy,
-                         min_cell_count=config.min_cell_count)
+    sample = (config.biased_sample_policy if bias_spec.sample_bias else
+              config.unbiased_sample_policy)
+    label = config.biased_label_policy if bias_spec.label_bias else config.unbiased_label_policy
+    return build_dataset(base, sample, label, seed, config.min_cell_count)
 
 
 def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,

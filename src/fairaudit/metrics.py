@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import _binary
+from .datagen import _binary, _column
 from .errors import UndefinedMetricError, ValidationError
 
 METRIC_NAMES = (
@@ -42,7 +42,7 @@ class GroupedOutcomes:
         self.group = _binary("group", self.group)
         self.label = _binary("label", self.label)
         # contiguous: a field of a structured array (a CSV read) is a strided view
-        self.score_hat = np.ascontiguousarray(self.score_hat, dtype=float)
+        self.score_hat = _column("score_hat", self.score_hat, float)
         self.label_hat = _binary("label_hat", self.label_hat)
         n = self.group.size
         if n == 0:

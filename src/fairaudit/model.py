@@ -20,13 +20,6 @@ from .datagen import Population
 from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 
 
-# [model] config key -> ModelParams field, read by harness._CONFIG_NAMES
-MODEL_KEYS = {"lambda": "lam", "alpha": "alpha", "max_iters": "max_iters",
-              "tolerance": "tolerance", "train_fraction": "train_fraction",
-              "include_group_feature": "include_group_feature",
-              "prediction_threshold": "prediction_threshold"}
-
-
 @dataclass(frozen=True)
 class ModelParams:
     lam: float = 1e-3            # overall regularization strength (lambda)
@@ -85,6 +78,8 @@ def split(data: Population, train_fraction: float,
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
             f"train_fraction must lie strictly inside (0, 1), got {train_fraction}")
+    if data.label is None:
+        raise ValidationError("data to split must be labeled")
     # stratum key 2 * group + label orders cells as sorted (group, label) pairs
     cell = 2 * data.group + data.label
     sizes = np.bincount(cell, minlength=4).tolist()

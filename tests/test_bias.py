@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairaudit import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
-                       UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec, LabelPolicy,
-                       PopulationSpec, SamplePolicy, apply_label_policy,
+from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
+                       UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, ExperimentConfig,
+                       LabelPolicy, PopulationSpec, SamplePolicy, apply_label_policy,
                        apply_sample_policy, build_dataset, generate_population,
                        make_base_dataset_A, split)
-from fairaudit.bias import ALL_BIAS_SPECS
+from fairaudit.harness import trial_dataset
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from conftest import (KEEP_ALL_SAMPLE_POLICY, make_population, positive_rate,
                       same_population)
@@ -120,30 +120,20 @@ class TestSamplePolicy:
             apply_sample_policy(make_population([], []), UNBIASED_SAMPLE_POLICY, 0)
 
 
-class TestBiasSpec:
-    def test_grid_numbering(self):
-        assert [s.dataset_index for s in ALL_BIAS_SPECS] == [1, 2, 3, 4]
-        assert BiasSpec(sample_bias=True, label_bias=True).dataset_index == 4
-
-
 class TestBuildDataset:
     def test_dataset1_with_keep_all_labels_base_at_half(self, population):
-        out = build_dataset(population, BiasSpec(False, False), seed=2,
-                            unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
+        out = build_dataset(population, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 2, 10)
         assert same_population(replace(out, label=None), population)
         assert np.array_equal(out.label, population.score >= 0.5)
 
     def test_composition_sample_then_label(self, population):
-        spec = BiasSpec(True, True)
-        direct = build_dataset(population, spec, seed=6)
+        direct = build_dataset(population, BIASED_SAMPLE_POLICY, BIASED_LABEL_POLICY, 6, 10)
         kept = apply_sample_policy(population, BIASED_SAMPLE_POLICY, seed=6)
         assert same_population(direct, apply_label_policy(kept, BIASED_LABEL_POLICY))
 
     def test_label_bias_shifts_rates_as_expected(self, population):
-        base = build_dataset(population, BiasSpec(False, False), seed=4,
-                             unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
-        biased = build_dataset(population, BiasSpec(False, True), seed=4,
-                               unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
+        base = build_dataset(population, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 4, 10)
+        biased = build_dataset(population, KEEP_ALL_SAMPLE_POLICY, BIASED_LABEL_POLICY, 4, 10)
         # lowering group-0's threshold can only add positives; raising group-1's
         # can only remove them
         assert labeled_rate(biased, 0) >= labeled_rate(base, 0)
@@ -152,29 +142,26 @@ class TestBuildDataset:
     def test_sample_bias_enriches_group0_positives(self, population):
         r = positive_rate(population, 0)
         expected = 0.8 * r / (0.8 * r + 0.2 * (1 - r))
-        out = build_dataset(population, BiasSpec(True, False), seed=9)
+        out = build_dataset(population, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 9, 10)
         assert labeled_rate(out, 0) == pytest.approx(expected, abs=0.02)
         # group 1 is fully retained, so its rate is unchanged
         assert labeled_rate(out, 1) == pytest.approx(positive_rate(population, 1),
                                                      abs=0.02)
 
     def test_determinism(self, population):
-        spec = BiasSpec(True, True)
-        assert same_population(build_dataset(population, spec, 12),
-                               build_dataset(population, spec, 12))
+        policies = (BIASED_SAMPLE_POLICY, BIASED_LABEL_POLICY)
+        assert same_population(build_dataset(population, *policies, 12, 10),
+                               build_dataset(population, *policies, 12, 10))
 
     def test_degenerate_cell_raises(self):
         # every score below 0.5 in group 1: the (1, 1) cell is empty
         pop = cells((0, 0.2, 40), (0, 0.8, 40), (1, 0.2, 40))
         with pytest.raises(DegenerateDatasetError, match="group=1"):
-            build_dataset(pop, BiasSpec(False, False), seed=1,
-                          unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY)
+            build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 10)
 
     def test_min_cell_count_override(self):
         pop = cells((0, 0.2, 5), (0, 0.8, 5), (1, 0.2, 5), (1, 0.8, 5))
-        out = build_dataset(pop, BiasSpec(False, False), seed=1,
-                            unbiased_sample_policy=KEEP_ALL_SAMPLE_POLICY,
-                            min_cell_count=5)
+        out = build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 5)
         assert len(out) == 20
 
 
@@ -187,7 +174,7 @@ class TestReferencePipeline:
             target_positive_rate_group1=0.1217, feature_dim=3, seed=41))
         if base == "A":
             pop = make_base_dataset_A(pop, seed=43)
-        train, test = split(build_dataset(pop, spec, seed=7), 0.7, seed=8)
+        train, test = split(trial_dataset(ExperimentConfig(), spec, 7, pop), 0.7, seed=8)
         want = sample_label_split_oracle(
             pop,
             BIASED_SAMPLE_POLICY if spec.sample_bias else UNBIASED_SAMPLE_POLICY,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fairaudit
-from fairaudit.bias import ALL_BIAS_SPECS, write_labeled_csv
+from fairaudit import ALL_BIAS_SPECS
+from fairaudit.bias import write_labeled_csv
 from fairaudit.datagen import write_population_csv
 from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
@@ -153,6 +154,16 @@ class TestAudit:
         assert len(rows) == 6
         values = {r["metric"]: float(r["value"]) for r in rows}
         assert values["disparate_impact"] == pytest.approx(3 / 7)
+
+    @pytest.mark.parametrize("header", [FIXTURE_CSV_HEADER.replace(",", ", "),
+                                        "\ufeff" + FIXTURE_CSV_HEADER],
+                             ids=["spaced names", "byte-order mark"])
+    def test_header_variant_audits_like_plain(self, fixture_csv, tmp_path, header):
+        variant = tmp_path / "variant.csv"
+        variant.write_bytes((header + "".join(fixture_rows())).encode())
+        for path, out in ((fixture_csv, "plain.json"), (variant, "variant.json")):
+            assert main(["audit", "--input", str(path), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "variant.json").read_text() == (tmp_path / "plain.json").read_text()
 
     def test_empty_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

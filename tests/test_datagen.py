@@ -51,6 +51,11 @@ class TestValidation:
             make_population([0, 1], [0.5, 0.5], labels=[1])
         with pytest.raises(ValidationError, match="matrix"):
             Population([0], [0], [0.5], [0.0])
+        columns = dict(id=[0, 1], group=[0, 1], score=[.2, .7],
+                       features=[[1., 2.], [3., 4.]], label=[0, 1])
+        for name in ("id", "group", "score", "label"):
+            with pytest.raises(ValidationError, match=f"^{name} must be a 1-D column"):
+                Population(**{**columns, name: [[v] for v in columns[name]]})
 
     def test_take_selects_rows_in_order(self):
         pop = make_population([0, 1, 1, 0], [0.1, 0.2, 0.3, 0.4],

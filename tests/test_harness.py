@@ -6,15 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairaudit import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
+from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
                        ExperimentConfig, ExperimentReport, LabelPolicy, ModelParams,
                        PopulationSpec, SamplePolicy, bundled_config_path, load_config,
                        rank_datasets, rank_means, run_experiment, run_trial,
                        stable_hash)
-from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base
+from fairaudit.bias import build_dataset
+from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
 from fairaudit.errors import ExperimentError, ValidationError
+from conftest import same_population
 
 SMALL_POP = PopulationSpec(n_group0=1500, n_group1=1500,
                            target_positive_rate_group0=0.5408,
@@ -229,6 +231,29 @@ class TestConfigSchema:
         with open(path, "w") as fh:
             parser.write(fh)
         assert load_config(path) == config
+
+
+class TestBiasSpec:
+    def test_grid_numbering(self):
+        assert [s.dataset_index for s in ALL_BIAS_SPECS] == [1, 2, 3, 4]
+        assert BiasSpec(sample_bias=True, label_bias=True).dataset_index == 4
+
+
+# four distinct policies, so a grid cell built with another cell's policy differs
+LABEL_B, LABEL_U = LabelPolicy(0.35, 0.65), LabelPolicy(0.45, 0.45)
+SAMPLE_B = SamplePolicy(0.5, 0.9, 0.3, 1.0, 0.8)
+SAMPLE_U = SamplePolicy(0.5, 0.6, 0.6, 0.6, 0.6)
+
+
+class TestTrialDataset:
+    @pytest.mark.parametrize("k,sample,label", [(1, SAMPLE_U, LABEL_U), (2, SAMPLE_B, LABEL_U),
+                                                (3, SAMPLE_U, LABEL_B), (4, SAMPLE_B, LABEL_B)])
+    def test_applies_its_cells_policies(self, k, sample, label):
+        config = small_config(biased_label_policy=LABEL_B, unbiased_label_policy=LABEL_U,
+                              biased_sample_policy=SAMPLE_B, unbiased_sample_policy=SAMPLE_U)
+        base = build_base(config)
+        assert same_population(trial_dataset(config, ALL_BIAS_SPECS[k - 1], 5, base),
+                               build_dataset(base, sample, label, 5, config.min_cell_count))
 
 
 class TestRunTrial:

@@ -348,6 +348,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{name} must be 0 or 1"):
             GroupedOutcomes(**columns)
 
+    @pytest.mark.parametrize("name", ["group", "label", "score_hat", "label_hat"])
+    def test_2d_column_rejected(self, name):
+        columns = dict(group=[0, 1, 0, 1], label=[0, 1, 0, 1],
+                       score_hat=[.2, .4, .6, .8], label_hat=[0, 1, 1, 0])
+        columns[name] = [[v] for v in columns[name]]
+        with pytest.raises(ValidationError, match=f"^{name} must be a 1-D column"):
+            GroupedOutcomes(**columns)
+
     def test_score_out_of_range(self):
         with pytest.raises(ValidationError):
             GroupedOutcomes(group=[0, 1], label=[0, 1], score_hat=[0.5, 1.5],

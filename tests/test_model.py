@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairaudit import (ModelParams, PopulationSpec, build_dataset, fit,
+from fairaudit import (ALL_BIAS_SPECS, ExperimentConfig, ModelParams, PopulationSpec, fit,
                        generate_population, make_base_dataset_A, predict, split)
 from fairaudit import model as model_module
-from fairaudit.bias import ALL_BIAS_SPECS
+from fairaudit.harness import trial_dataset
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from conftest import make_population, same_population
@@ -85,6 +85,11 @@ class TestSplit:
         data = balanced_labeled(40, 8)
         with pytest.raises(ValidationError):
             split(data, 1.0, seed=0)
+
+    def test_unlabeled_raises(self):
+        data = replace(balanced_labeled(40, 8), label=None)
+        with pytest.raises(ValidationError, match="labeled"):
+            split(data, 0.7, seed=0)
 
 
 class TestFit:
@@ -269,7 +274,8 @@ class TestFitMatchesOracle:
             seed=seed))
         if base == "A":
             pop = make_base_dataset_A(pop, seed=seed + 2)
-        train, _ = split(build_dataset(pop, spec, seed=seed + 3), 0.7, seed=seed + 4)
+        train, _ = split(trial_dataset(ExperimentConfig(), spec, seed + 3, pop), 0.7,
+                         seed=seed + 4)
         params = ModelParams(lam=0.01, alpha=0.5, include_group_feature=base == "A")
         got, want = fit(train, params), fit_oracle(train, params)
         assert got.coefficients.tobytes() == want.coefficients.tobytes()

@@ -7,19 +7,23 @@ from pathlib import Path
 
 import numpy as np
 
-from fairaudit import ALL_BIAS_SPECS, GroupedOutcomes, audit, fit, predict, run_trial
+from fairaudit import (ALL_BIAS_SPECS, UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY,
+                       GroupedOutcomes, audit, build_dataset, fit, predict, run_trial)
 from fairaudit.harness import build_base, stable_hash
+from conftest import same_population
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 LIBRARY = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 BLOCKS = re.findall(r"```python\n(.*?)```", LIBRARY, re.S)
 
 
-def run_snippet(marker):
-    """Execute the one Library block containing marker; returns its namespace."""
-    (block,) = [b for b in BLOCKS if marker in b]
+def run_snippet(*markers):
+    """Execute, in order and in one namespace, the one Library block containing
+    each marker; returns the namespace."""
     namespace = {}
-    exec(block, namespace)
+    for marker in markers:
+        (block,) = [b for b in BLOCKS if marker in b]
+        exec(block, namespace)
     return namespace
 
 
@@ -51,3 +55,14 @@ def test_trial_recipe_rebuilds_the_trial():
     expected = run_trial(config, spec, stable_hash(config.base_seed, k, t),
                          base=build_base(config))
     assert rebuilt.to_json_dict() == expected.to_json_dict()
+
+
+def test_bias_strength_snippet_sweeps_the_label_gap():
+    namespace = run_snippet("trial_dataset(", "LabelPolicy(0.5 - gap")
+    base, by_gap = namespace["base"], namespace["by_gap"]
+    assert list(by_gap) == [0.0, 0.1, 0.2]
+    unbiased = build_dataset(base, UNBIASED_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 10)
+    assert same_population(by_gap[0.0], unbiased)
+    # a wider gap labels more of group 0 and less of group 1 positive
+    rates = [[d.label[d.group == g].mean() for d in by_gap.values()] for g in (0, 1)]
+    assert rates[0] == sorted(rates[0]) and rates[1] == sorted(rates[1], reverse=True)

@@ -73,7 +73,8 @@ def split(data: Population, train_fraction: float,
     """Disjoint, exhaustive partition stratified by (group, label).
 
     Per-cell train counts are within one record of the exact fraction
-    (largest-remainder rounding); the total train size is round(fraction * n).
+    (largest-remainder rounding); the total train size is round(fraction * n),
+    and neither side may be empty.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
@@ -91,6 +92,11 @@ def split(data: Population, train_fraction: float,
                 "need at least 2 to stratify")
 
     total_train = int(round(train_fraction * len(data)))
+    for side, size in (("train", total_train), ("test", len(data) - total_train)):
+        if size == 0:
+            raise DegenerateDatasetError(
+                f"train_fraction {train_fraction} of {len(data)} records leaves "
+                f"the {side} set empty")
     ideal = [train_fraction * sizes[k] for k in keys]
     take = [math.floor(x) for x in ideal]
     extras = total_train - sum(take)
@@ -111,6 +117,41 @@ def _design_matrix(data: Population, include_group: bool) -> np.ndarray:
     if include_group:
         return np.column_stack([data.features, data.group.astype(float)])
     return data.features
+
+
+def _own_copy(X_raw: np.ndarray, data: Population) -> np.ndarray | None:
+    """X_raw when _design_matrix built it afresh, so it may be overwritten; else None."""
+    return None if X_raw is data.features else X_raw
+
+
+def _column_sums(A: np.ndarray) -> np.ndarray:
+    """A.sum(axis=0), bit for bit.
+
+    On a C-ordered matrix with two or more columns numpy adds row after row
+    into the running column sums, calling its inner loop once per short row;
+    einsum makes the same additions in the same order in one loop. On other
+    layouts, and on a single column (which numpy sums pairwise), the orders
+    differ, so those keep A.sum(axis=0).
+    """
+    if A.flags.c_contiguous and A.shape[1] > 1:
+        return np.einsum("ij->j", A)
+    return A.sum(axis=0)
+
+
+def _by_column(ufunc, A: np.ndarray, row: np.ndarray, out=None) -> np.ndarray:
+    """ufunc(A, row) with the row vector broadcast down A, bit for bit and in the
+    memory layout the broadcast gives.
+
+    On a C-ordered A the broadcast loops over each short row; here each column is
+    one long strided loop. Other layouts take the broadcast itself.
+    """
+    if not A.flags.c_contiguous:
+        return ufunc(A, row, out=out)
+    if out is None:
+        out = np.empty_like(A)
+    for j in range(A.shape[1]):
+        ufunc(A[:, j], row[j], out=out[:, j])
+    return out
 
 
 def _soft(x: float, threshold: float) -> float:
@@ -170,16 +211,23 @@ def fit(train: Population, params: ModelParams) -> Model:
     if X_raw.shape[1] == 0:
         raise ValidationError("training set must have at least one feature")
     n, m = X_raw.shape
-    mu = X_raw.mean(axis=0)
-    sd = X_raw.std(axis=0)
+    # X_raw.mean(axis=0) and X_raw.std(axis=0), reduced the way numpy does. X2
+    # holds the squared deviations, then the squared standardized features.
+    mu = _column_sums(X_raw) / n
+    X = _by_column(np.subtract, X_raw, mu, out=_own_copy(X_raw, train))
+    X2 = X * X
+    sd = np.sqrt(_column_sums(X2) / n)
     sd = np.where(sd > 0.0, sd, 1.0)
-    X = (X_raw - mu) / sd
+    X = _by_column(np.divide, X, sd, out=X)
 
     lam, alpha = params.lam, params.alpha
     l1 = lam * alpha
     l2 = lam * (1.0 - alpha)
-    X2 = X ** 2
-    sq = X2.mean(axis=0)
+    X2 = np.square(X, out=X2)
+    sq = None  # X2.mean(axis=0), computed when a 1/4-bound pass first needs it
+    columns = [X[:, j] for j in range(m)]
+    # per-row work buffers: Newton weights, working residual, one column's update
+    w, wr, step = np.empty(n), np.empty(n), np.empty(n)
 
     def cd_pass(beta, b, p, newton: bool):
         """One cyclic pass on the weighted quadratic approximation at (beta, b).
@@ -187,32 +235,40 @@ def fit(train: Population, params: ModelParams) -> Model:
         newton=True uses w = p(1-p); newton=False uses the global bound w = 1/4.
         Returns (beta, b, max coefficient change).
         """
-        beta = beta.copy()
+        nonlocal sq
+        beta = beta.tolist()
         if newton:
-            w = np.clip(p * (1.0 - p), 1e-6, None)
-            wx2 = X2.T @ w / n
+            # w = clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
+            np.subtract(1.0, p, out=w)
+            np.multiply(p, w, out=w)
+            np.maximum(w, 1e-6, out=w)
+            wx2 = (X2.T @ w / n).tolist()
             w_sum = float(w.sum())
         else:
-            w = None
-            wx2 = 0.25 * sq
+            if sq is None:
+                sq = X2.mean(axis=0)
+            wx2 = (0.25 * sq).tolist()
             w_sum = 0.25 * n
         # residual of the working response: w * (z - X beta - b) = (y - p) here
-        wr = y - p
+        np.subtract(y, p, out=wr)
         max_delta = 0.0
-        for j in range(m):
+        for j, x_j in enumerate(columns):
             denom_j = wx2[j] + l2
             if wx2[j] <= 0.0 or denom_j <= 0.0:
                 continue  # constant column: coefficient stays 0
-            rho = float(X[:, j] @ wr) / n + wx2[j] * beta[j]
+            rho = float(x_j @ wr) / n + wx2[j] * beta[j]
             new = _soft(rho, l1) / denom_j
             d = new - beta[j]
             if d != 0.0:
-                wr -= (w * X[:, j] if newton else 0.25 * X[:, j]) * d
+                # wr -= (w or 1/4) * x_j * d
+                np.multiply(w if newton else 0.25, x_j, out=step)
+                np.multiply(step, d, out=step)
+                np.subtract(wr, step, out=wr)
                 beta[j] = new
                 max_delta = max(max_delta, abs(d))
         db = float(wr.sum()) / w_sum
         b += db
-        return beta, b, max(max_delta, abs(db))
+        return np.array(beta), b, max(max_delta, abs(db))
 
     beta = np.zeros(m)
     b = 0.0
@@ -255,7 +311,8 @@ def predict(model: Model, records: Population) -> Predictions:
         raise ValidationError(
             f"feature dimension mismatch: model has {len(model.coefficients)}, "
             f"records have {X_raw.shape[1]}")
-    X = (X_raw - model.feature_means) / model.feature_scales
+    X = _by_column(np.subtract, X_raw, model.feature_means, out=_own_copy(X_raw, records))
+    X = _by_column(np.divide, X, model.feature_scales, out=X)
     score = expit(X @ model.coefficients + model.intercept)
     return Predictions(score_hat=score,
                        label_hat=(score >= model.params.prediction_threshold).astype(int))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from fairaudit.errors import NumericalFailureError, ValidationError
-from fairaudit.model import Model
+from fairaudit.model import Model, Predictions
 
 
 def _rows(data):
@@ -204,7 +204,8 @@ def _penalized_objective_oracle(X, y, beta, intercept, lam, alpha):
 
 def fit_oracle(train, params):
     """model.fit as it was before the optimizer reused X @ beta between steps:
-    every objective recomputes its linear predictor. Its coefficients,
+    every objective recomputes its linear predictor, and the features are
+    standardized by numpy's mean, std and broadcast. Its coefficients,
     intercept, iteration count and objective history are the bits fit must keep.
     """
     if not train:
@@ -278,3 +279,13 @@ def fit_oracle(train, params):
     return Model(coefficients=beta, intercept=float(b), feature_means=mu,
                  feature_scales=sd, params=params, converged=converged,
                  n_iters=iters, objective_history=history)
+
+
+def predict_oracle(model, records):
+    """model.predict by the broadcast formula: the scores and labels predict must
+    reproduce bit for bit."""
+    X_raw = _design_matrix_oracle(records, model.params.include_group_feature)
+    X = (X_raw - model.feature_means) / model.feature_scales
+    score = expit(X @ model.coefficients + model.intercept)
+    return Predictions(score_hat=score,
+                       label_hat=(score >= model.params.prediction_threshold).astype(int))

@@ -329,6 +329,17 @@ class TestRunExperiment:
                             for d in report.to_json_dict()["datasets"].values())
         assert json_failures == total
 
+    def test_empty_test_set_fails_only_its_trial(self):
+        # round(fraction * n) == n below 1500 records: that leaves trial 0 of
+        # dataset 1 (1471 records) and trials 0 and 1 of dataset 3 (1487, 1491)
+        # without test rows; every other trial has 1508 or more
+        cfg = small_config(trials=4, model=ModelParams(lam=0.01, train_fraction=1 - 1 / 3000))
+        report = run_experiment(cfg)
+        failed = {k: [t.trial for t in r.failures] for k, r in report.datasets.items()}
+        assert failed == {1: [0], 2: [], 3: [0, 1], 4: []}
+        assert all("leaves the test set empty" in t.error
+                   for r in report.datasets.values() for t in r.failures)
+
     def test_all_trials_failing_raises(self):
         cfg = small_config(population=replace(SMALL_POP, n_group0=40, n_group1=40),
                            trials=2, min_cell_count=10)

@@ -9,11 +9,12 @@ from scipy.special import expit
 from fairaudit import (ALL_BIAS_SPECS, ExperimentConfig, ModelParams, PopulationSpec, fit,
                        generate_population, make_base_dataset_A, predict, split)
 from fairaudit import model as model_module
+from fairaudit.datagen import Population
 from fairaudit.harness import trial_dataset
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from conftest import make_population, same_population
-from oracles import _penalized_objective_oracle, fit_oracle
+from oracles import _penalized_objective_oracle, fit_oracle, predict_oracle
 
 
 def make_labeled(n, seed, d=3, rule=None):
@@ -90,6 +91,14 @@ class TestSplit:
         data = replace(balanced_labeled(40, 8), label=None)
         with pytest.raises(ValidationError, match="labeled"):
             split(data, 0.7, seed=0)
+
+    @pytest.mark.parametrize("fraction, side", [(0.95, "test"), (0.05, "train")])
+    def test_empty_side_raises(self, fraction, side):
+        # two records in each (group, label) cell; round(fraction * 8) is 8 or 0
+        data = make_population([0, 0, 0, 0, 1, 1, 1, 1], [0.5] * 8,
+                               labels=[0, 0, 1, 1, 0, 0, 1, 1])
+        with pytest.raises(DegenerateDatasetError, match=f"{side} set empty"):
+            split(data, fraction, seed=0)
 
 
 class TestFit:
@@ -297,3 +306,68 @@ class TestFitMatchesOracle:
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert got.intercept.hex() == want.intercept.hex()
         assert got.objective_history == want.objective_history
+
+
+def with_features(data, features):
+    """data with its feature matrix replaced, keeping the new matrix's memory layout."""
+    return Population(data.id, data.group, data.score, features, data.label)
+
+
+def row_sliced(features):
+    """features as every other row of a twice-as-tall matrix: C-ordered rows, not contiguous."""
+    tall = np.zeros((2 * len(features), features.shape[1]))
+    tall[::2] = features
+    return tall[::2]
+
+
+def constant_column(features):
+    out = features.copy()
+    out[:, 1] = 2.5
+    return out
+
+
+class TestKernelMatchesOracle:
+    """fit and predict reproduce the broadcast and numpy-reduction formulas of
+    fit_oracle and predict_oracle bit for bit, whatever the feature matrix's layout."""
+
+    LAYOUTS = {
+        "C": lambda f: f,
+        "F": np.asfortranarray,
+        "row_sliced": row_sliced,
+        "single_column": lambda f: f[:, :1].copy(),
+        "constant_column": constant_column,
+    }
+
+    @staticmethod
+    def assert_bit_identical(train, test, params):
+        inputs = [train.features.copy(), test.features.copy()]
+        got, want = fit(train, params), fit_oracle(train, params)
+        for name in ("coefficients", "feature_means", "feature_scales"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.intercept.hex() == want.intercept.hex()
+        assert got.n_iters == want.n_iters and got.converged == want.converged
+        assert [v.hex() for v in got.objective_history] == \
+            [v.hex() for v in want.objective_history]
+        got_p, want_p = predict(got, test), predict_oracle(got, test)
+        assert got_p.score_hat.tobytes() == want_p.score_hat.tobytes()
+        assert np.array_equal(got_p.label_hat, want_p.label_hat)
+        # fit and predict may overwrite only the matrices they build themselves
+        assert all(np.array_equal(a, b.features) for a, b in zip(inputs, (train, test)))
+
+    @pytest.mark.parametrize("include_group", [False, True], ids=["features", "with_group"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_identical_on_layout(self, layout, include_group):
+        train, test = (balanced_labeled(n, seed, d=4) for n, seed in ((400, 31), (200, 32)))
+        arrange = self.LAYOUTS[layout]
+        self.assert_bit_identical(with_features(train, arrange(train.features)),
+                                  with_features(test, arrange(test.features)),
+                                  ModelParams(lam=0.01, include_group_feature=include_group))
+
+    @pytest.mark.parametrize("include_group", [False, True], ids=["5_columns", "6_columns"])
+    def test_bit_identical_at_bundled_size(self, include_group):
+        # the bundled experiments fit about 17k training rows of 5 features,
+        # plus the group column in Experiment A
+        data = balanced_labeled(24_000, 37, d=5)
+        train, test = split(data, 0.7, seed=38)
+        self.assert_bit_identical(train, test,
+                                  ModelParams(lam=0.01, include_group_feature=include_group))

@@ -11,11 +11,8 @@ from .datagen import (Population, PopulationSpec, generate_population,
 from .harness import (ALL_BIAS_SPECS, BiasSpec, ExperimentConfig, ExperimentReport,
                       bundled_config_path, load_config, rank_datasets, rank_means,
                       run_experiment, run_trial, stable_hash)
-from .metrics import (FAIR_POINTS, METRIC_NAMES, GroupedOutcomes,
-                      MetricReport, MetricValue, audit, disparate_impact,
-                      entropy, equal_misopportunity_difference,
-                      equal_opportunity_difference, mean_score_difference,
-                      normalized_mutual_information, residual_difference)
+from .metrics import (FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport,
+                      MetricValue, audit, entropy)
 from .model import (Model, ModelParams, Predictions, fit, predict, split,
                     subgradient_violation)
 

@@ -123,7 +123,7 @@ def load_config(path) -> ExperimentConfig:
     # no section name can be empty, so [DEFAULT] is an ordinary, unknown section
     parser = configparser.ConfigParser(default_section="")
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ValidationError(f"config file not found or unreadable: {path}")
         config = ExperimentConfig()
         for name in parser.sections():
@@ -155,6 +155,8 @@ def load_config(path) -> ExperimentConfig:
         return config
     except configparser.Error as e:
         raise ValidationError(f"invalid config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"invalid config {path}: not UTF-8 text: {e}") from e
 
 
 def bundled_config_path(name: str):

@@ -1,5 +1,6 @@
 """The six fairness metrics, computed from predictions, labels, and group membership.
 
+`METRICS` declares each metric once; `audit` computes them all on one path.
 Mean-score and residual differences use the continuous predicted score; the
 rate-based metrics and NMI use the thresholded predicted label, through one
 (S, Y, Ŷ) count table. Entropies use the natural logarithm; NMI is
@@ -8,25 +9,12 @@ base-invariant by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import _binary, _column
 from .errors import UndefinedMetricError, ValidationError
-
-METRIC_NAMES = (
-    "mean_score_diff",
-    "residual_diff",
-    "equal_opportunity_diff",
-    "equal_misopportunity_diff",
-    "disparate_impact",
-    "nmi",
-)
-
-# value of each metric at the non-discrimination point
-FAIR_POINTS = {name: 0.0 for name in METRIC_NAMES}
-FAIR_POINTS["disparate_impact"] = 1.0
 
 
 @dataclass
@@ -59,12 +47,6 @@ class GroupedOutcomes:
                    score_hat=predictions.score_hat,
                    label_hat=predictions.label_hat)
 
-    def _group_mask(self, s: int) -> np.ndarray:
-        mask = self.group == s
-        if not mask.any():
-            raise UndefinedMetricError(f"group {s} is absent")
-        return mask
-
 
 def cell_counts(data: GroupedOutcomes) -> np.ndarray:
     """Counts per (S, Y, Ŷ) cell, indexed [s, y, yhat]; every count-based metric reads it."""
@@ -72,24 +54,18 @@ def cell_counts(data: GroupedOutcomes) -> np.ndarray:
     return np.bincount(cells, minlength=8).reshape(2, 2, 2)
 
 
-def _require_groups(counts: np.ndarray, order: tuple[int, int]) -> None:
-    """Raise for the first absent group; metrics differ in which one they name first."""
-    for s in order:
+def _require_groups(counts: np.ndarray) -> None:
+    # outcomes are non-empty, so at most one group can be absent
+    for s in (1, 0):
         if not counts[s].any():
             raise UndefinedMetricError(f"group {s} is absent")
 
 
-def mean_score_difference(data: GroupedOutcomes) -> float:
-    """E{ŷ | S=1} - E{ŷ | S=0} on continuous scores."""
-    m1, m0 = data._group_mask(1), data._group_mask(0)
-    return float(data.score_hat[m1].mean() - data.score_hat[m0].mean())
-
-
-def residual_difference(data: GroupedOutcomes) -> float:
-    """E{ŷ - Y | S=1} - E{ŷ - Y | S=0}."""
-    m1, m0 = data._group_mask(1), data._group_mask(0)
-    res = data.score_hat - data.label
-    return float(res[m1].mean() - res[m0].mean())
+def _group_mean_difference(values: np.ndarray, data: GroupedOutcomes,
+                           counts: np.ndarray) -> float:
+    """E{values | S=1} - E{values | S=0}."""
+    _require_groups(counts)
+    return float(values[data.group == 1].mean() - values[data.group == 0].mean())
 
 
 def _rate_difference(counts: np.ndarray, y: int) -> float:
@@ -100,32 +76,20 @@ def _rate_difference(counts: np.ndarray, y: int) -> float:
     return float(counts[1, y, 1] / counts[1, y].sum() - counts[0, y, 1] / counts[0, y].sum())
 
 
-def equal_opportunity_difference(data: GroupedOutcomes) -> float:
-    """Difference of group true-positive rates: Pr{Ŷ=1|S=1,Y=1} - Pr{Ŷ=1|S=0,Y=1}."""
-    return _rate_difference(cell_counts(data), 1)
-
-
-def equal_misopportunity_difference(data: GroupedOutcomes) -> float:
-    """Difference of group false-positive rates: Pr{Ŷ=1|S=1,Y=0} - Pr{Ŷ=1|S=0,Y=0}."""
-    return _rate_difference(cell_counts(data), 0)
-
-
-def _disparate_impact(counts: np.ndarray) -> float | None:
-    _require_groups(counts, (1, 0))
+def _disparate_impact(data: GroupedOutcomes, counts: np.ndarray) -> float:
+    """Pr{Ŷ=1 | S=1} / Pr{Ŷ=1 | S=0}."""
+    _require_groups(counts)
     r1, r0 = (counts[s, :, 1].sum() / counts[s].sum() for s in (1, 0))
     if r0 == 0.0:
-        return None
+        raise UndefinedMetricError("group-0 positive prediction rate is zero")
     return float(r1 / r0)
-
-
-def disparate_impact(data: GroupedOutcomes) -> float | None:
-    """Ratio of group positive-prediction rates; None when the denominator rate is 0."""
-    return _disparate_impact(cell_counts(data))
 
 
 def entropy(dist) -> float:
     """Shannon entropy with natural log; 0 * log 0 := 0."""
     p = np.asarray(dist, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValidationError("probabilities must be finite")
     if (p < 0).any():
         raise ValidationError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -139,6 +103,8 @@ def nmi_from_counts(counts) -> float:
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (2, 2):
         raise ValidationError("counts must be a 2x2 table")
+    if not np.isfinite(counts).all():
+        raise ValidationError("counts must be finite")
     if (counts < 0).any():
         raise ValidationError("counts must be nonnegative")
     if counts.sum() <= 0:
@@ -156,20 +122,32 @@ def nmi_from_counts(counts) -> float:
     return float(mi / np.sqrt(hy * hs))
 
 
-def _nmi(counts: np.ndarray) -> float:
-    _require_groups(counts, (0, 1))
+def _nmi(data: GroupedOutcomes, counts: np.ndarray) -> float:
+    """NMI of (predicted label, group)."""
+    _require_groups(counts)
     return nmi_from_counts(counts.sum(axis=1).T)  # the (Ŷ, S) margin
 
 
-def normalized_mutual_information(data: GroupedOutcomes) -> float:
-    """NMI of (predicted label, group)."""
-    return _nmi(cell_counts(data))
+# name -> (value at the non-discrimination point, fn(data, cell_counts(data)));
+# fn raises UndefinedMetricError where the metric is undefined
+METRICS = {
+    "mean_score_diff": (0.0, lambda data, counts: _group_mean_difference(
+        data.score_hat, data, counts)),
+    "residual_diff": (0.0, lambda data, counts: _group_mean_difference(
+        data.score_hat - data.label, data, counts)),
+    "equal_opportunity_diff": (0.0, lambda data, counts: _rate_difference(counts, 1)),
+    "equal_misopportunity_diff": (0.0, lambda data, counts: _rate_difference(counts, 0)),
+    "disparate_impact": (1.0, _disparate_impact),
+    "nmi": (0.0, _nmi),
+}
+METRIC_NAMES = tuple(METRICS)
+FAIR_POINTS = {name: fair_point for name, (fair_point, _) in METRICS.items()}
 
 
 @dataclass
 class MetricValue:
     value: float | None
-    status: str = "ok"  # "ok" | "undefined" | "error"
+    status: str = "ok"  # "ok" | "undefined"
     detail: str = ""
 
     def to_json_dict(self) -> dict:
@@ -178,52 +156,32 @@ class MetricValue:
 
 @dataclass
 class MetricReport:
-    mean_score_diff: MetricValue
-    residual_diff: MetricValue
-    equal_opportunity_diff: MetricValue
-    equal_misopportunity_diff: MetricValue
-    disparate_impact: MetricValue
-    nmi: MetricValue
-    cell_counts: dict = field(default_factory=dict)
+    values: dict[str, MetricValue]
+    cell_counts: dict[tuple[int, int, int], int]  # (s, y, yhat) -> count
 
     def metric(self, name: str) -> MetricValue:
-        if name not in METRIC_NAMES:
+        if name not in self.values:
             raise ValidationError(f"unknown metric {name!r}")
-        return getattr(self, name)
+        return self.values[name]
 
     def to_json_dict(self) -> dict:
         return {
-            "metrics": {name: self.metric(name).to_json_dict() for name in METRIC_NAMES},
+            "metrics": {name: mv.to_json_dict() for name, mv in self.values.items()},
             "cell_counts": {f"s{s}_y{y}_yhat{p}": c
                             for (s, y, p), c in sorted(self.cell_counts.items())},
         }
 
 
-def _guarded(fn, *args) -> MetricValue:
-    try:
-        value = fn(*args)
-    except UndefinedMetricError as e:
-        return MetricValue(None, "undefined", str(e))
-    except ValidationError as e:
-        return MetricValue(None, "error", str(e))
-    return MetricValue(value)
-
-
 def audit(data: GroupedOutcomes) -> MetricReport:
-    """Compute all six metrics; undefined markers are carried, never coerced."""
+    """Compute every metric in METRICS; undefined markers are carried, never coerced."""
     counts = cell_counts(data)
-    di = _guarded(_disparate_impact, counts)
-    if di.status == "ok" and di.value is None:
-        di = MetricValue(None, "undefined", "group-0 positive prediction rate is zero")
-    nmi = _guarded(_nmi, counts)
-    if nmi.status == "ok" and not counts.sum(axis=(0, 1)).all():
-        nmi.detail = "degenerate prediction margin; mutual information is zero"
-    return MetricReport(
-        mean_score_diff=_guarded(mean_score_difference, data),
-        residual_diff=_guarded(residual_difference, data),
-        equal_opportunity_diff=_guarded(_rate_difference, counts, 1),
-        equal_misopportunity_diff=_guarded(_rate_difference, counts, 0),
-        disparate_impact=di,
-        nmi=nmi,
-        cell_counts={cell: int(n) for cell, n in np.ndenumerate(counts)},
-    )
+    values = {}
+    for name, (_, fn) in METRICS.items():
+        try:
+            values[name] = MetricValue(fn(data, counts))
+        except UndefinedMetricError as e:
+            values[name] = MetricValue(None, "undefined", str(e))
+            continue
+        if fn is _nmi and not counts.sum(axis=(0, 1)).all():
+            values[name].detail = "degenerate prediction margin; mutual information is zero"
+    return MetricReport(values, {cell: int(n) for cell, n in np.ndenumerate(counts)})

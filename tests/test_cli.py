@@ -272,6 +272,24 @@ class TestExperiment:
         assert (f"error: invalid config {path}: [model] lambda must be finite, got nan"
                 in capsys.readouterr().err)
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(("# café\n" + SMALL_CFG).encode("latin-1"))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert (f"error: invalid config {path}: not UTF-8 text"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_byte_order_mark_config_runs_like_plain_file(self, config_file, tmp_path):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(SMALL_CFG.encode("utf-8-sig"))
+        for name, path in (("plain", config_file), ("bom", str(bom))):
+            assert main(["experiment", "--config", path, "--out", str(tmp_path / name),
+                         "--trials", "1"]) == 0
+        for ext in (".json", ".csv"):
+            assert ((tmp_path / f"bom{ext}").read_bytes()
+                    == (tmp_path / f"plain{ext}").read_bytes())
+
     def test_reruns_byte_identical(self, config_file, tmp_path):
         main(["experiment", "--config", config_file, "--out",
               str(tmp_path / "r1"), "--trials", "1"])

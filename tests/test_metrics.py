@@ -3,55 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from fairaudit import (GroupedOutcomes, audit, disparate_impact,
-                       entropy, equal_misopportunity_difference,
-                       equal_opportunity_difference, mean_score_difference,
-                       normalized_mutual_information, residual_difference)
-from fairaudit.errors import UndefinedMetricError, ValidationError
+from fairaudit import GroupedOutcomes, audit, entropy
+from fairaudit.errors import ValidationError
 from fairaudit.metrics import METRIC_NAMES, nmi_from_counts
 
 from conftest import build_outcomes, random_outcomes
 from oracles import ORACLES
 
 
-def _safe(fn, data):
-    try:
-        return fn(data)
-    except UndefinedMetricError:
-        return None
+def value(data, name):
+    """The audited value of one metric; None where it is undefined."""
+    return audit(data).metric(name).value
+
+
+def assert_undefined(data, name, detail):
+    got = audit(data).metric(name)
+    assert (got.value, got.status) == (None, "undefined")
+    assert detail in got.detail
 
 
 class TestMeanScoreDifference:
     def test_identical_groups_zero(self):
         data = GroupedOutcomes(group=[0, 0, 1, 1], label=[0, 1, 0, 1],
                                score_hat=[0.2, 0.8, 0.2, 0.8], label_hat=[0, 1, 0, 1])
-        assert mean_score_difference(data) == 0.0
+        assert value(data, "mean_score_diff") == 0.0
 
     def test_direct_arithmetic(self):
         data = GroupedOutcomes(group=[1, 1, 0, 0], label=[0, 0, 0, 0],
                                score_hat=[0.2, 0.4, 0.6, 0.8], label_hat=[0, 0, 1, 1])
-        assert mean_score_difference(data) == pytest.approx(-0.4, abs=1e-15)
+        assert value(data, "mean_score_diff") == pytest.approx(-0.4, abs=1e-15)
 
     def test_constant_scores_zero(self):
         data = GroupedOutcomes(group=[0, 1], label=[1, 1],
                                score_hat=[1.0, 1.0], label_hat=[1, 1])
-        assert mean_score_difference(data) == 0.0
+        assert value(data, "mean_score_diff") == 0.0
 
     def test_missing_group_errors(self):
         data = GroupedOutcomes(group=[0, 0], label=[0, 1],
                                score_hat=[0.1, 0.9], label_hat=[0, 1])
-        with pytest.raises(UndefinedMetricError, match="group 1"):
-            mean_score_difference(data)
+        assert_undefined(data, "mean_score_diff", "group 1")
 
 
 class TestResidualDifference:
     def test_perfect_predictions_zero(self):
         data = GroupedOutcomes(group=[0, 0, 1, 1], label=[0, 1, 0, 1],
                                score_hat=[0.0, 1.0, 0.0, 1.0], label_hat=[0, 1, 0, 1])
-        assert residual_difference(data) == 0.0
+        assert value(data, "residual_diff") == 0.0
 
     def test_confusion_fixture(self, confusion_fixture):
-        assert residual_difference(confusion_fixture) == pytest.approx(-0.4, abs=1e-12)
+        assert value(confusion_fixture, "residual_diff") == pytest.approx(-0.4, abs=1e-12)
 
     def test_constant_shift_cancels(self):
         rng = np.random.default_rng(4)
@@ -62,51 +62,51 @@ class TestResidualDifference:
         shifted = GroupedOutcomes(group=data.group, label=data.label,
                                   score_hat=data.score_hat + 0.3,
                                   label_hat=data.label_hat)
-        assert residual_difference(shifted) == pytest.approx(
-            residual_difference(data), abs=1e-12)
+        assert value(shifted, "residual_diff") == pytest.approx(
+            value(data, "residual_diff"), abs=1e-12)
 
 
 class TestEqualOpportunity:
     def test_confusion_fixture(self, confusion_fixture):
-        assert equal_opportunity_difference(confusion_fixture) == pytest.approx(
+        assert value(confusion_fixture, "equal_opportunity_diff") == pytest.approx(
             20 / 50 - 45 / 50, abs=1e-15)
 
     def test_perfect_classifier_zero(self):
         data = build_outcomes([(0, 1, 1, 5), (0, 0, 0, 5), (1, 1, 1, 5), (1, 0, 0, 5)])
-        assert equal_opportunity_difference(data) == 0.0
+        assert value(data, "equal_opportunity_diff") == 0.0
 
     def test_empty_cell_errors(self):
         data = build_outcomes([(0, 1, 1, 5), (0, 0, 0, 5), (1, 0, 0, 5)])
-        with pytest.raises(UndefinedMetricError, match="S=1, Y=1"):
-            equal_opportunity_difference(data)
+        assert_undefined(data, "equal_opportunity_diff", "S=1, Y=1")
 
 
 class TestEqualMisopportunity:
     def test_confusion_fixture(self, confusion_fixture):
-        assert equal_misopportunity_difference(confusion_fixture) == pytest.approx(
+        assert value(confusion_fixture, "equal_misopportunity_diff") == pytest.approx(
             10 / 50 - 25 / 50, abs=1e-15)
 
     def test_all_negative_classifier_zero(self):
         data = build_outcomes([(0, 1, 0, 5), (0, 0, 0, 5), (1, 1, 0, 5), (1, 0, 0, 5)])
-        assert equal_misopportunity_difference(data) == 0.0
+        assert value(data, "equal_misopportunity_diff") == 0.0
 
     def test_empty_cell_errors(self):
         data = build_outcomes([(0, 1, 1, 5), (1, 0, 0, 5), (1, 1, 1, 5)])
-        with pytest.raises(UndefinedMetricError, match="S=0, Y=0"):
-            equal_misopportunity_difference(data)
+        assert_undefined(data, "equal_misopportunity_diff", "S=0, Y=0")
 
 
 class TestDisparateImpact:
     def test_confusion_fixture(self, confusion_fixture):
-        assert disparate_impact(confusion_fixture) == pytest.approx(3 / 7, abs=1e-15)
+        assert value(confusion_fixture, "disparate_impact") == pytest.approx(3 / 7, abs=1e-15)
 
     def test_equal_rates_is_one(self):
         data = build_outcomes([(0, 1, 1, 3), (0, 0, 0, 3), (1, 1, 1, 3), (1, 0, 0, 3)])
-        assert disparate_impact(data) == pytest.approx(1.0, abs=1e-15)
+        assert value(data, "disparate_impact") == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_denominator_undefined(self):
         data = build_outcomes([(0, 0, 0, 5), (1, 1, 1, 5)])
-        assert disparate_impact(data) is None
+        got = audit(data).metric("disparate_impact")
+        assert (got.value, got.status, got.detail) == (
+            None, "undefined", "group-0 positive prediction rate is zero")
 
 
 class TestEntropy:
@@ -127,15 +127,21 @@ class TestEntropy:
         with pytest.raises(ValidationError):
             entropy([-0.1, 1.1])
 
+    @pytest.mark.parametrize("dist", [[math.nan, 1.0], [0.5, 0.5, math.nan],
+                                      [math.inf, 0.0], [1.0, -math.inf]])
+    def test_non_finite_rejected(self, dist):
+        with pytest.raises(ValidationError, match="probabilities must be finite"):
+            entropy(dist)
+
 
 class TestNMI:
     def test_perfect_dependence(self):
         data = build_outcomes([(0, 0, 0, 10), (1, 1, 1, 10)])
-        assert normalized_mutual_information(data) == pytest.approx(1.0, abs=1e-12)
+        assert value(data, "nmi") == pytest.approx(1.0, abs=1e-12)
 
     def test_independence_zero(self):
         data = build_outcomes([(0, 0, 0, 6), (0, 0, 1, 4), (1, 0, 0, 6), (1, 0, 1, 4)])
-        assert normalized_mutual_information(data) == pytest.approx(0.0, abs=1e-12)
+        assert value(data, "nmi") == pytest.approx(0.0, abs=1e-12)
 
     def test_joint_30_70(self):
         # joint counts n[yhat=1][s=1]=30, n[0][1]=70, n[1][0]=70, n[0][0]=30
@@ -171,18 +177,24 @@ class TestNMI:
 
     def test_degenerate_prediction_margin_zero(self):
         data = build_outcomes([(0, 0, 1, 5), (1, 0, 1, 5)])
-        assert normalized_mutual_information(data) == 0.0
+        assert value(data, "nmi") == 0.0
+
+    @pytest.mark.parametrize("counts", [[[math.nan, 1], [1, 1]], [[math.inf, 1], [1, 1]],
+                                        [[1, 1], [1, -math.inf]]])
+    def test_non_finite_counts_rejected(self, counts):
+        with pytest.raises(ValidationError, match="counts must be finite"):
+            nmi_from_counts(counts)
 
 
 class TestAuditReport:
     def test_fixture_report(self, confusion_fixture):
         report = audit(confusion_fixture)
-        assert report.mean_score_diff.value == pytest.approx(-0.4, abs=1e-12)
-        assert report.residual_diff.value == pytest.approx(-0.4, abs=1e-12)
-        assert report.equal_opportunity_diff.value == pytest.approx(-0.5, abs=1e-12)
-        assert report.equal_misopportunity_diff.value == pytest.approx(-0.3, abs=1e-12)
-        assert report.disparate_impact.value == pytest.approx(3 / 7, abs=1e-12)
-        assert report.nmi.value == pytest.approx(0.1187, abs=1e-3)
+        assert report.metric("mean_score_diff").value == pytest.approx(-0.4, abs=1e-12)
+        assert report.metric("residual_diff").value == pytest.approx(-0.4, abs=1e-12)
+        assert report.metric("equal_opportunity_diff").value == pytest.approx(-0.5, abs=1e-12)
+        assert report.metric("equal_misopportunity_diff").value == pytest.approx(-0.3, abs=1e-12)
+        assert report.metric("disparate_impact").value == pytest.approx(3 / 7, abs=1e-12)
+        assert report.metric("nmi").value == pytest.approx(0.1187, abs=1e-3)
         assert all(report.metric(n).status == "ok" for n in METRIC_NAMES)
         assert sum(report.cell_counts.values()) == 200
 
@@ -190,14 +202,18 @@ class TestAuditReport:
         data = build_outcomes([(1, 1, 1, 5), (1, 0, 0, 5)])
         report = audit(data)
         for name in METRIC_NAMES:
-            assert report.metric(name).status in ("undefined", "error")
+            assert report.metric(name).status == "undefined"
             assert report.metric(name).value is None
 
     def test_undefined_di_is_not_an_exception(self):
         data = build_outcomes([(0, 0, 0, 5), (1, 1, 1, 5)])
         report = audit(data)
-        assert report.disparate_impact.status == "undefined"
-        assert report.mean_score_diff.status == "ok"
+        assert report.metric("disparate_impact").status == "undefined"
+        assert report.metric("mean_score_diff").status == "ok"
+
+    def test_unknown_metric_name_rejected(self, confusion_fixture):
+        with pytest.raises(ValidationError, match="unknown metric 'accuracy'"):
+            audit(confusion_fixture).metric("accuracy")
 
     def test_json_shape(self, confusion_fixture):
         doc = audit(confusion_fixture).to_json_dict()
@@ -211,38 +227,12 @@ class TestAuditReport:
         cc = report.cell_counts
         tpr1 = cc[(1, 1, 1)] / (cc[(1, 1, 1)] + cc[(1, 1, 0)])
         tpr0 = cc[(0, 1, 1)] / (cc[(0, 1, 1)] + cc[(0, 1, 0)])
-        assert report.equal_opportunity_diff.value == pytest.approx(tpr1 - tpr0, abs=1e-15)
-
-
-PUBLIC_METRICS = {
-    "mean_score_diff": mean_score_difference,
-    "residual_diff": residual_difference,
-    "equal_opportunity_diff": equal_opportunity_difference,
-    "equal_misopportunity_diff": equal_misopportunity_difference,
-    "disparate_impact": disparate_impact,
-    "nmi": normalized_mutual_information,
-}
+        assert report.metric("equal_opportunity_diff").value == pytest.approx(
+            tpr1 - tpr0, abs=1e-15)
 
 
 class TestAuditMatchesPublicFunctions:
-    def test_values_equal_exactly(self):
-        rng = np.random.default_rng(606)
-        for max_n in (4, 12, 200):  # small draws leave groups and cells empty
-            for _ in range(300):
-                data = random_outcomes(rng, max_n=max_n)
-                report = audit(data)
-                for name, fn in PUBLIC_METRICS.items():
-                    got = report.metric(name)
-                    try:
-                        want = fn(data)
-                    except UndefinedMetricError as e:
-                        assert (got.value, got.status, got.detail) == (None, "undefined",
-                                                                       str(e)), name
-                        continue
-                    if want is None:
-                        assert got.status == "undefined", name
-                    assert got.value == want, name
-
+    # every status and detail string audit reports, pinned per metric
     @pytest.mark.parametrize("cells, name, status, detail", [
         ([(0, 1, 1, 5), (0, 0, 0, 5)], "mean_score_diff", "undefined", "group 1 is absent"),
         ([(1, 1, 1, 5), (1, 0, 0, 5)], "mean_score_diff", "undefined", "group 0 is absent"),
@@ -279,8 +269,9 @@ class TestProperties:
         rng = np.random.default_rng(123)
         for _ in range(200):
             data = random_outcomes(rng)
-            for name, fn in PUBLIC_METRICS.items():
-                got = _safe(fn, data)
+            report = audit(data)
+            for name in METRIC_NAMES:
+                got = report.metric(name).value
                 want = ORACLES[name](data)
                 if want is None:
                     assert got is None, name
@@ -295,17 +286,20 @@ class TestProperties:
                 continue
             swapped = GroupedOutcomes(group=1 - data.group, label=data.label,
                                       score_hat=data.score_hat, label_hat=data.label_hat)
-            for fn in (mean_score_difference, residual_difference):
-                assert fn(swapped) == pytest.approx(-fn(data), abs=1e-12)
-            for fn in (equal_opportunity_difference, equal_misopportunity_difference):
-                a, b = _safe(fn, data), _safe(fn, swapped)
+            report, report_swapped = audit(data), audit(swapped)
+            for name in ("mean_score_diff", "residual_diff"):
+                assert report_swapped.metric(name).value == pytest.approx(
+                    -report.metric(name).value, abs=1e-12)
+            for name in ("equal_opportunity_diff", "equal_misopportunity_diff"):
+                a, b = report.metric(name).value, report_swapped.metric(name).value
                 if a is not None and b is not None:
                     assert b == pytest.approx(-a, abs=1e-12)
-            di, di_swapped = disparate_impact(data), disparate_impact(swapped)
+            di = report.metric("disparate_impact").value
+            di_swapped = report_swapped.metric("disparate_impact").value
             if di not in (None, 0.0) and di_swapped is not None:
                 assert di_swapped == pytest.approx(1.0 / di, rel=1e-12)
-            assert normalized_mutual_information(swapped) == pytest.approx(
-                normalized_mutual_information(data), abs=1e-12)
+            assert report_swapped.metric("nmi").value == pytest.approx(
+                report.metric("nmi").value, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(77)

@@ -1,4 +1,5 @@
-"""The README's Library section: every name it lists imports, and its snippets run."""
+"""The README's Library section: every name it lists imports, and its snippets run;
+its Metrics list matches the metric table."""
 
 import ast
 import importlib
@@ -10,10 +11,17 @@ import numpy as np
 from fairaudit import (ALL_BIAS_SPECS, UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY,
                        GroupedOutcomes, audit, build_dataset, fit, predict, run_trial)
 from fairaudit.harness import build_base, stable_hash
+from fairaudit.metrics import METRICS
 from conftest import same_population
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-LIBRARY = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+LIBRARY = section("Library")
 BLOCKS = re.findall(r"```python\n(.*?)```", LIBRARY, re.S)
 
 
@@ -66,3 +74,12 @@ def test_bias_strength_snippet_sweeps_the_label_gap():
     # a wider gap labels more of group 0 and less of group 1 positive
     rates = [[d.label[d.group == g].mean() for d in by_gap.values()] for g in (0, 1)]
     assert rates[0] == sorted(rates[0]) and rates[1] == sorted(rates[1], reverse=True)
+
+
+def test_metrics_list_matches_the_metric_table():
+    metrics = section("Metrics")
+    # "- `name`: description (fair point X)", wrapping onto indented lines
+    entries = re.findall(r"^- `(\w+)`:(?:.|\n  )*?\(fair point ([^)]*)\)$", metrics, re.M)
+    assert len(entries) == len(re.findall(r"^- ", metrics, re.M))
+    assert [(name, float(fair)) for name, fair in entries] == [
+        (name, fair) for name, (fair, _) in METRICS.items()]

@@ -11,7 +11,6 @@ generate a population (`fairaudit audit`, `rank`) do not pay for its import.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -21,6 +20,8 @@ from .errors import EmptySelectionError, ValidationError
 
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
+# rows formatted per write by write_population_csv; bounds the text held at once
+_WRITE_CHUNK_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -210,20 +211,21 @@ def make_base_dataset_B(pop: Population) -> Population:
 def write_population_csv(pop: Population, path) -> None:
     """Write rows as CSV: id,group,score[,label],f0,...  Reals keep 12 significant digits.
 
-    The label column is present iff the population is labeled.
+    The label column is present iff the population is labeled. Lines end with CRLF.
     """
     if not pop:
         raise ValidationError("cannot export an empty population")
     header = ["id", "group", "score"]
-    columns = [pop.id.tolist(), pop.group.tolist(), pop.score.tolist()]
+    columns = [pop.id, pop.group, pop.score]
     if pop.label is not None:
         header.append("label")
-        columns.append(pop.label.tolist())
+        columns.append(pop.label)
     header += [f"f{j}" for j in range(pop.features.shape[1])]
+    columns += list(pop.features.T)
+    # integers as %d, reals as %.12g (the text format(x, ".12g") gives); no field needs quoting
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.12g" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for *row, features in zip(*columns, pop.features.tolist()):
-            row[2] = format(row[2], ".12g")  # the score
-            writer.writerow(row + [format(x, ".12g") for x in features])
-
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(pop), _WRITE_CHUNK_ROWS):
+            chunk = [c[start:start + _WRITE_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))

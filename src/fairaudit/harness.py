@@ -125,6 +125,9 @@ def load_config(path) -> ExperimentConfig:
     try:
         if not parser.read(path, encoding="utf-8-sig"):
             raise ValidationError(f"config file not found or unreadable: {path}")
+        if not parser.sections():
+            # an empty or comment-only file is more likely a wrong path than a wish for defaults
+            raise ValidationError(f"invalid config {path}: no sections")
         config = ExperimentConfig()
         for name in parser.sections():
             if name not in _CONFIG_NAMES:

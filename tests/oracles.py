@@ -1,6 +1,6 @@
 """Independent brute-force references (explicit loops over records): the six
-metrics, the sample -> label -> split pipeline, and the predictions CSV reader;
-and a frozen copy of the elastic-net fitter.
+metrics, the sample -> label -> split pipeline, the predictions CSV reader and
+the population CSV writer; and a frozen copy of the elastic-net fitter.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
@@ -178,6 +178,23 @@ def read_predictions_oracle(path):
             except (TypeError, ValueError):
                 return None, reader.line_num
     return {name: np.array(values) for name, values in columns.items()}, None
+
+
+def write_population_csv_oracle(pop, path):
+    """The population CSV one csv.writer row at a time, each real formatted
+    with format(x, ".12g"): id,group,score[,label],f0,..."""
+    header = ["id", "group", "score"]
+    columns = [pop.id.tolist(), pop.group.tolist(), pop.score.tolist()]
+    if pop.label is not None:
+        header.append("label")
+        columns.append(pop.label.tolist())
+    header += [f"f{j}" for j in range(pop.features.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for *row, features in zip(*columns, pop.features.tolist()):
+            row[2] = format(row[2], ".12g")  # the score
+            writer.writerow(row + [format(x, ".12g") for x in features])
 
 
 def _design_matrix_oracle(data, include_group):

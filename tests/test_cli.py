@@ -12,12 +12,10 @@ import pytest
 
 import fairaudit
 from fairaudit import ALL_BIAS_SPECS
-from fairaudit.bias import write_labeled_csv
-from fairaudit.datagen import write_population_csv
 from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
-from oracles import read_predictions_oracle
+from oracles import read_predictions_oracle, write_population_csv_oracle
 
 SMALL_CFG = """\
 [experiment]
@@ -84,10 +82,11 @@ class TestGenerate:
         assert a.read_bytes() != b.read_bytes()
 
     def test_matches_base_dataset_B(self, config_file, tmp_path):
-        # experiment B's base dataset is the population itself, seeded the same way
+        # experiment B's base dataset is the population itself, seeded the same way;
+        # the oracle writer pins the exported bytes as well
         out, base = tmp_path / "pop.csv", tmp_path / "base.csv"
         assert main(["generate", "--config", config_file, "--out", str(out)]) == 0
-        write_population_csv(build_base(load_config(config_file)), base)
+        write_population_csv_oracle(build_base(load_config(config_file)), base)
         assert out.read_bytes() == base.read_bytes()
 
     def test_missing_config_exits_2_no_partial_output(self, tmp_path, capsys):
@@ -126,8 +125,9 @@ class TestBuild:
                      "--out", str(out)]) == 0
         config = load_config(config_file)
         spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
-        write_labeled_csv(trial_dataset(config, spec, stable_hash(config.base_seed, k, "build"),
-                                        build_base(config)), expected)
+        write_population_csv_oracle(
+            trial_dataset(config, spec, stable_hash(config.base_seed, k, "build"),
+                          build_base(config)), expected)
         assert out.read_bytes() == expected.read_bytes()
 
 
@@ -271,6 +271,14 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert (f"error: invalid config {path}: [model] lambda must be finite, got nan"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["", "# no sections\n"])
+    def test_config_without_sections_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.cfg"
+        path.write_text(text)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: invalid config {path}: no sections" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"

@@ -7,8 +7,11 @@ import pytest
 from fairaudit import (Population, PopulationSpec, generate_population,
                        make_base_dataset_A, make_base_dataset_B,
                        write_population_csv)
+from fairaudit.bias import write_labeled_csv
+from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK
 from fairaudit.errors import EmptySelectionError, ValidationError
 from conftest import make_population, positive_rate, same_population
+from oracles import write_population_csv_oracle
 
 
 def small_spec(**overrides):
@@ -195,3 +198,51 @@ class TestCsvExport:
             assert int(row["group"]) == pop.group[i]
             assert float(row["score"]) == pytest.approx(pop.score[i], abs=1e-9)
             assert float(row["f0"]) == pytest.approx(pop.features[i, 0], abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_bytes_match_oracle(self, tmp_path, labeled, n, d):
+        rng = np.random.default_rng(n + d)
+        # magnitudes over 40 decades, so %.12g prints both fixed and exponent forms
+        features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-20, 21, size=(n, d))
+        pop = Population(np.arange(n), rng.integers(0, 2, n), rng.random(n), features,
+                         rng.integers(0, 2, n) if labeled else None)
+        assert_bytes_match_oracle(pop, tmp_path)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_no_feature_columns_match_oracle(self, tmp_path, labeled):
+        pop = make_population([0, 1, 1], [0.25, 0.5, 0.75], np.zeros((3, 0)),
+                              [1, 0, 1] if labeled else None)
+        assert_bytes_match_oracle(pop, tmp_path)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_edge_values_match_oracle(self, tmp_path, labeled):
+        # signed zero, the smallest subnormal, both sides of the switch to exponent
+        # notation, a tie at the 12th digit and a repeating fraction
+        edges = [-0.0, 5e-324, 1e-5, 1e16, 123456789012.5, 1 / 3]
+        n = len(edges)
+        features = np.array([np.roll(edges, k) for k in range(n)])
+        pop = Population([0, -1, 2**63 - 1, -2**63, 10**12, 7], [0, 1] * (n // 2),
+                         [-0.0, 5e-324, 1e-5, 1 / 3, 0.5, 1.0],
+                         np.hstack([features, -features]), [1, 0] * (n // 2) if labeled else None)
+        assert_bytes_match_oracle(pop, tmp_path)
+
+    def test_empty_population_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        with pytest.raises(ValidationError, match="empty population"):
+            write_population_csv(make_population([], []), path)
+        assert not path.exists()
+
+    def test_labeled_writer_rejects_unlabeled_data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValidationError, match="unlabeled"):
+            write_labeled_csv(make_population([0, 1], [0.2, 0.8]), path)
+        assert not path.exists()
+
+
+def assert_bytes_match_oracle(pop, tmp_path):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_population_csv(pop, ours)
+    write_population_csv_oracle(pop, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()

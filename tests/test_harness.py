@@ -114,6 +114,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="invalid config .*no section headers"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# experiment A\n; trials = 3\n"])
+    def test_load_config_without_sections(self, tmp_path, text):
+        path = tmp_path / "empty.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == f"invalid config {path}: no sections"
+
+    def test_load_config_empty_section_keeps_defaults(self, tmp_path):
+        path = tmp_path / "minimal.cfg"
+        path.write_text("[experiment]\n")
+        assert load_config(path) == ExperimentConfig()
+
     @pytest.mark.parametrize("text,name", [
         ("[experiment]\nname = A\ntrails = 3\n", "trails"),
         ("[modle]\nlambda = 0.1\n", "modle"),

@@ -5,8 +5,11 @@ numerically so that the mass above 0.5 matches the group's target positive
 rate; the positive count is made exact (up to rounding) by inverse-CDF
 sampling conditional on each side of the 0.5 cutoff.
 
-scipy is imported inside the functions that use it, so commands that never
-generate a population (`fairaudit audit`, `rank`) do not pay for its import.
+The only scipy used is `scipy.special` (the regularized incomplete beta
+function and its inverse), imported inside the functions that use it, so
+commands that never generate a population (`fairaudit audit`, `rank`) do not
+pay for its import. The root finder is a port of scipy's `brentq`, so neither
+`scipy.stats` nor `scipy.optimize` (about a second to import) is loaded.
 """
 
 from __future__ import annotations
@@ -120,31 +123,102 @@ class PopulationSpec:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c)
+    with its default rtol and maxiter, so it evaluates f at the same points and
+    returns the same float. Raises ValidationError when f(xa) and f(xb) have the
+    same sign, when f is NaN, or when maxiter iterations do not converge.
+    """
+    rtol = 4 * np.finfo(float).eps
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValidationError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValidationError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ValidationError(f"no convergence in {maxiter} iterations")
+
+
 def _beta_shape(rate: float, concentration: float) -> tuple[float, float]:
     """Solve for Beta(a, b) with a + b = concentration and P(X >= 0.5) = rate."""
-    from scipy import optimize, stats
+    from scipy import special
 
     lo = 1e-9 * concentration
     hi = concentration - lo
 
     def gap(a):
-        return stats.beta.sf(0.5, a, concentration - a) - rate
+        return float(special.betaincc(a, concentration - a, 0.5)) - rate
 
-    a = optimize.brentq(gap, lo, hi, xtol=1e-13)
+    try:
+        a = _brentq(gap, lo, hi, xtol=1e-13)
+    except ValidationError as e:
+        raise ValidationError(
+            f"cannot calibrate a Beta score family with score_concentration "
+            f"{concentration!r} to positive rate {rate!r}: {e}") from None
     return a, concentration - a
 
 
 def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     """Draw n Beta scores with an exact (rounded) count of scores >= 0.5."""
-    from scipy import stats
+    from scipy import special
 
     a, b = _beta_shape(rate, concentration)
     k = int(round(n * rate))
-    split = stats.beta.cdf(0.5, a, b)
+    split = special.betainc(a, b, 0.5)
     u = rng.random(n)
     s = np.empty(n)
-    s[:k] = stats.beta.ppf(split + u[:k] * (1.0 - split), a, b)
-    s[k:] = stats.beta.ppf(u[k:] * split, a, b)
+    # the inverse CDF: scipy.stats.beta.ppf runs the same Boost inversion and
+    # matches it bit for bit except where that inversion gives up with a warning
+    # (quantiles below about 1e-100 at some shapes)
+    s[:k] = special.betaincinv(a, b, split + u[:k] * (1.0 - split))
+    s[k:] = special.betaincinv(a, b, u[k:] * split)
     np.clip(s, 0.0, 1.0, out=s)
     # guard the cutoff against ppf roundoff so the positive count is exact
     s[:k] = np.maximum(s[:k], 0.5)

@@ -1,6 +1,7 @@
 """Independent brute-force references (explicit loops over records): the six
 metrics, the sample -> label -> split pipeline, the predictions CSV reader and
-the population CSV writer; and a frozen copy of the elastic-net fitter.
+the population CSV writer; a frozen copy of the elastic-net fitter; and the
+Beta score calibration as scipy.stats and scipy.optimize compute it.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
@@ -195,6 +196,39 @@ def write_population_csv_oracle(pop, path):
         for *row, features in zip(*columns, pop.features.tolist()):
             row[2] = format(row[2], ".12g")  # the score
             writer.writerow(row + [format(x, ".12g") for x in features])
+
+
+def beta_shape_oracle(rate, concentration):
+    """Beta(a, b) with a + b = concentration and P(X >= 0.5) = rate, solved by
+    scipy.optimize.brentq on scipy.stats.beta.sf."""
+    from scipy import optimize, stats
+
+    lo = 1e-9 * concentration
+    hi = concentration - lo
+
+    def gap(a):
+        return stats.beta.sf(0.5, a, concentration - a) - rate
+
+    a = optimize.brentq(gap, lo, hi, xtol=1e-13)
+    return a, concentration - a
+
+
+def group_scores_oracle(rng, n, rate, concentration):
+    """n Beta scores with round(n * rate) of them >= 0.5, drawn through
+    scipy.stats.beta.cdf and .ppf."""
+    from scipy import stats
+
+    a, b = beta_shape_oracle(rate, concentration)
+    k = int(round(n * rate))
+    split = stats.beta.cdf(0.5, a, b)
+    u = rng.random(n)
+    s = np.empty(n)
+    s[:k] = stats.beta.ppf(split + u[:k] * (1.0 - split), a, b)
+    s[k:] = stats.beta.ppf(u[k:] * split, a, b)
+    np.clip(s, 0.0, 1.0, out=s)
+    s[:k] = np.maximum(s[:k], 0.5)
+    s[k:] = np.minimum(s[k:], np.nextafter(0.5, 0.0))
+    return s
 
 
 def _design_matrix_oracle(data, include_group):

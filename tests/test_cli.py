@@ -89,6 +89,20 @@ class TestGenerate:
         write_population_csv_oracle(build_base(load_config(config_file)), base)
         assert out.read_bytes() == base.read_bytes()
 
+    @pytest.mark.parametrize("key", ["positive_rate_group0", "positive_rate_group1"])
+    @pytest.mark.parametrize("rate", ["0.999999999999", "1e-12"])
+    def test_unreachable_rate_exits_2(self, tmp_path, capsys, key, rate):
+        # inside (0, 1), but no Beta(a, b) with a + b = score_concentration (default
+        # 1.0) puts that much mass above 0.5
+        path, out = tmp_path / "far.cfg", tmp_path / "pop.csv"
+        path.write_text("".join(f"{key} = {rate}\n" if line.startswith(key) else line
+                                for line in SMALL_CFG.splitlines(keepends=True)))
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"score_concentration 1.0 to positive rate {float(rate)!r}" in err
+
     def test_missing_config_exits_2_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "pop.csv"
         code = main(["generate", "--config", str(tmp_path / "nope.cfg"),
@@ -353,6 +367,24 @@ def test_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_build_base_leaves_scipy_stats_and_optimize_unloaded():
+    # generating a population needs scipy.special only; scipy.stats and
+    # scipy.optimize would add about a second to every generate/build/experiment
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from fairaudit.harness import build_base, bundled_config_path, load_config\n"
+            "for name in ('experiment_A.cfg', 'experiment_B.cfg'):\n"
+            "    build_base(load_config(bundled_config_path(name)))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.stats', 'scipy.optimize'))))\n"
+            "print('scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 HEADER = FIXTURE_CSV_HEADER

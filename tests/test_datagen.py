@@ -7,11 +7,13 @@ import pytest
 from fairaudit import (Population, PopulationSpec, generate_population,
                        make_base_dataset_A, make_base_dataset_B,
                        write_population_csv)
+from fairaudit import datagen
 from fairaudit.bias import write_labeled_csv
-from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK
+from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, _group_scores
 from fairaudit.errors import EmptySelectionError, ValidationError
+from fairaudit.harness import bundled_config_path, load_config
 from conftest import make_population, positive_rate, same_population
-from oracles import write_population_csv_oracle
+from oracles import beta_shape_oracle, group_scores_oracle, write_population_csv_oracle
 
 
 def small_spec(**overrides):
@@ -126,6 +128,147 @@ class TestGeneratePopulation:
         s = pop.score
         f0 = pop.features[:, 0]
         assert np.corrcoef(s, f0)[0, 1] > 0.5
+
+
+def bundled_calibrations():
+    """(rate, score_concentration) of each group in both bundled configs."""
+    cases = set()
+    for name in ("experiment_A.cfg", "experiment_B.cfg"):
+        spec = load_config(bundled_config_path(name)).population
+        cases |= {(spec.target_positive_rate_group0, spec.score_concentration),
+                  (spec.target_positive_rate_group1, spec.score_concentration)}
+    return sorted(cases)
+
+
+# a seeded grid of rates in (0.01, 0.99)
+GRID_RATES = np.random.default_rng(20261018).uniform(0.01, 0.99, 12).tolist()
+
+
+class FixedDraws:
+    """A stand-in generator whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+class TestCalibration:
+    """The scipy.special calibration against the scipy.stats/optimize reference:
+    equal bit for bit, not just close."""
+
+    def assert_matches_oracle(self, rate, concentration, n=1000, seed=5):
+        assert _beta_shape(rate, concentration) == beta_shape_oracle(rate, concentration)
+        ours = _group_scores(np.random.default_rng(seed), n, rate, concentration)
+        oracle = group_scores_oracle(np.random.default_rng(seed), n, rate, concentration)
+        assert np.array_equal(ours, oracle)
+
+    def test_bundled_rates_match_oracle(self):
+        cases = bundled_calibrations()
+        assert {rate for rate, _ in cases} == {0.5408, 0.1217}
+        for rate, concentration in cases:
+            self.assert_matches_oracle(rate, concentration, n=39780)
+
+    @pytest.mark.parametrize("concentration", [0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_rate_grid_matches_oracle(self, concentration):
+        for rate in GRID_RATES:
+            self.assert_matches_oracle(rate, concentration)
+
+    @pytest.mark.parametrize("rate,concentration", [(0.5408, 1.0), (0.1217, 1.0),
+                                                    (0.03, 0.5), (0.9, 20.0)])
+    def test_inverse_cdf_edges_match_oracle(self, rate, concentration):
+        # u = 0 puts the lowest draw of each side at its quantile edge: q = 0 below
+        # the cutoff, q = P(X < 0.5) above it; the largest u < 1 takes q toward 1
+        n = 8
+        k = round(n * rate)  # the first k draws land above the cutoff
+        edges = [0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0)]
+        u = np.concatenate([np.resize(edges, k), np.resize(edges, n - k)])
+        ours = _group_scores(FixedDraws(u), n, rate, concentration)
+        oracle = group_scores_oracle(FixedDraws(u), n, rate, concentration)
+        assert np.array_equal(ours, oracle)
+        assert np.count_nonzero(ours >= 0.5) == k
+        assert ours[k] == 0.0  # u = 0 below the cutoff draws the support's lower edge
+
+    @pytest.mark.parametrize("rate", [0.999999999999, 1e-12])
+    def test_unreachable_rate_names_rate_and_concentration(self, rate):
+        with pytest.raises(ValidationError, match=rf"score_concentration 1\.0 to positive "
+                                                  rf"rate {rate!r}: .* same sign"):
+            generate_population(small_spec(target_positive_rate_group1=rate,
+                                           score_concentration=1.0))
+
+    def test_non_convergence_names_rate_and_concentration(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_brentq", lambda *args, **kw: _brentq(*args, **kw,
+                                                                            maxiter=3))
+        with pytest.raises(ValidationError, match=r"score_concentration 2\.0 to positive "
+                                                  r"rate 0\.541: no convergence in 3 "):
+            generate_population(small_spec(score_concentration=2.0))
+
+
+class TestBrentq:
+    def test_zero_at_an_end_is_returned(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-13) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-13) == 3.0
+
+    @pytest.mark.parametrize("xtol", [0.1, 1e-2, 1e-6, 1e-13, 5e-324])
+    def test_matches_scipy_brentq(self, xtol):
+        # smooth, steep, flat-at-the-root and kinked functions, so the search takes
+        # interpolation, extrapolation and bisection steps; (x - c) ** k is too flat
+        # to converge in 100 iterations at the smaller tolerances
+        from scipy import optimize
+
+        rng = np.random.default_rng(17)
+        functions = [lambda x, c=c: x ** 3 - c for c in rng.uniform(0.01, 0.99, 10)]
+        functions += [lambda x, c=c: math.exp(c * x) - 2.0 for c in rng.uniform(0.5, 40, 10)]
+        functions += [lambda x, c=c, k=k: (x - c) ** k for c in rng.uniform(0.1, 0.9, 10)
+                      for k in (3, 9)]
+        functions += [lambda x, c=c: math.atan(50.0 * (x - c)) + 1e-3 for c in
+                      rng.uniform(0.1, 0.9, 10)]
+        functions += [lambda x, c=c: math.copysign(abs(x - c) ** 0.5, x - c) for c in
+                      rng.uniform(0.1, 0.9, 10)]
+        converged = 0
+        for f in functions:
+            theirs, ours = [], []  # every point each search evaluates f at
+            root, info = optimize.brentq(lambda x: theirs.append(x) or f(x), 0.0, 1.0,
+                                         xtol=xtol, full_output=True, disp=False)
+            if info.converged:
+                assert _brentq(lambda x: ours.append(x) or f(x), 0.0, 1.0, xtol) == root
+                converged += 1
+            else:
+                with pytest.raises(ValidationError, match="no convergence in 100 iterations"):
+                    _brentq(lambda x: ours.append(x) or f(x), 0.0, 1.0, xtol)
+            assert ours == theirs
+        assert converged >= 40
+
+    def test_matches_scipy_brentq_on_random_cubics(self):
+        # tolerances of 0.01 to 0.3, where the tolerance term of the step test
+        # (2 |step| < min(|previous step|, 3 |bisection step| - tolerance)) decides
+        # between interpolation and bisection in about 1 search in 100
+        from scipy import optimize
+
+        rng = np.random.default_rng(29)
+        coefs = rng.standard_normal((3000, 4))
+        compared = 0
+        for coef, xtol in zip(coefs, 10.0 ** rng.uniform(-2, -0.5, 3000)):
+            f = np.polynomial.Polynomial(coef)
+            if (f(0.0) > 0) == (f(1.0) > 0):
+                continue
+            theirs, ours = [], []
+            root = optimize.brentq(lambda x: theirs.append(x) or float(f(x)), 0.0, 1.0,
+                                   xtol=xtol)
+            assert _brentq(lambda x: ours.append(x) or float(f(x)), 0.0, 1.0, xtol) == root
+            assert ours == theirs
+            compared += 1
+        assert compared > 900
+
+    def test_same_sign_raises(self):
+        with pytest.raises(ValidationError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-13)
 
 
 class TestBaseDatasetA:

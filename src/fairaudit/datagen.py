@@ -131,7 +131,8 @@ def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
     returns the same float. Raises ValidationError when f(xa) and f(xb) have the
     same sign, when f is NaN, or when maxiter iterations do not converge.
     """
-    rtol = 4 * np.finfo(float).eps
+    rtol = 4 * np.finfo(float).eps  # scipy's default, and the smallest it accepts
+
     def value(x):
         fx = f(x)
         if math.isnan(fx):

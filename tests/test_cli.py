@@ -357,34 +357,34 @@ class TestRank:
             assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
 
 
-def test_import_leaves_scipy_unloaded():
-    # audit and rank never use scipy; its import would be most of their start-up
+def run_fresh_python(code):
+    """Standard output of code run by a new interpreter that imports this fairaudit."""
     src = str(Path(fairaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, fairaudit, fairaudit.cli, fairaudit.harness; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # audit and rank never use scipy; its import would be most of their start-up
+    out = run_fresh_python("import sys, fairaudit, fairaudit.cli, fairaudit.harness; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
 
 
 def test_build_base_leaves_scipy_stats_and_optimize_unloaded():
     # generating a population needs scipy.special only; scipy.stats and
     # scipy.optimize would add about a second to every generate/build/experiment
-    src = str(Path(fairaudit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys\n"
-            "from fairaudit.harness import build_base, bundled_config_path, load_config\n"
-            "for name in ('experiment_A.cfg', 'experiment_B.cfg'):\n"
-            "    build_base(load_config(bundled_config_path(name)))\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.stats', 'scipy.optimize'))))\n"
-            "print('scipy.special' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    out = run_fresh_python(
+        "import sys\n"
+        "from fairaudit.harness import build_base, bundled_config_path, load_config\n"
+        "for name in ('experiment_A.cfg', 'experiment_B.cfg'):\n"
+        "    build_base(load_config(bundled_config_path(name)))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.stats', 'scipy.optimize'))))\n"
+        "print('scipy.special' in sys.modules)")
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 HEADER = FIXTURE_CSV_HEADER

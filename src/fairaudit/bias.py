@@ -65,11 +65,12 @@ def apply_sample_policy(pop: Population, policy: SamplePolicy, seed: int) -> Pop
         raise ValidationError("population must be non-empty")
     rng = np.random.default_rng(seed)
     u = rng.random(len(pop))
-    # p[group, score band], band 1 = at or above the cutoff
-    p = np.array([[policy.p_group0_low, policy.p_group0_high],
-                  [policy.p_group1_low, policy.p_group1_high]])
-    high = (pop.score >= policy.cutoff).astype(np.int64)
-    return pop.take(u < p[pop.group, high])
+    # p[2 * group + score band], band 1 = at or above the cutoff; one flat index
+    # gathers about 2x faster than p[group, band] with two index arrays
+    p = np.array([policy.p_group0_low, policy.p_group0_high,
+                  policy.p_group1_low, policy.p_group1_high])
+    high = pop.score >= policy.cutoff
+    return pop.take(u < p[2 * pop.group + high])
 
 
 def build_dataset(pop: Population, sample_policy: SamplePolicy, label_policy: LabelPolicy,

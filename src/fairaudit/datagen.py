@@ -85,8 +85,13 @@ def _binary(name: str, values) -> np.ndarray:
     """values as contiguous 1-D int64, after checking each is 0 or 1 in its own dtype."""
     # contiguous first: the check reads a strided view (a CSV field) about 2x slower
     values = _column(name, values)
-    # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
-    if not np.all((values == 0) | (values == 1)):
+    if values.dtype.kind in "biu":
+        # two reductions, no full-size temporaries; min() of an empty column raises
+        binary = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
+    else:
+        # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
+        binary = np.all((values == 0) | (values == 1))
+    if not binary:
         raise ValidationError(f"{name} must be 0 or 1")
     return values.astype(np.int64, copy=False)
 

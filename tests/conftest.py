@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairaudit import GroupedOutcomes, Population, SamplePolicy
+from fairaudit.cli import PREDICTION_COLUMNS
 from fairaudit.errors import EmptySelectionError
 
 # keeps every record: sampling becomes the identity, for exact unit tests
@@ -56,10 +57,20 @@ def confusion_fixture():
     ])
 
 
+def outcomes_from_fields(**columns):
+    """GroupedOutcomes from the fields of one structured array of the columns:
+    the strided layout `fairaudit audit` passes after parsing a CSV."""
+    table = np.empty(len(columns["group"]), dtype=list(PREDICTION_COLUMNS))
+    for name in table.dtype.names:
+        table[name] = columns[name]
+    return GroupedOutcomes(**{name: table[name] for name in table.dtype.names})
+
+
 def random_outcomes(rng, max_n=200):
-    """Random dataset for oracle-equivalence checks; cells may be empty."""
+    """Random dataset for oracle-equivalence checks, in the CLI's strided
+    layout; cells may be empty."""
     n = int(rng.integers(1, max_n + 1))
-    return GroupedOutcomes(group=rng.integers(0, 2, n),
-                           label=rng.integers(0, 2, n),
-                           score_hat=rng.random(n),
-                           label_hat=rng.integers(0, 2, n))
+    return outcomes_from_fields(group=rng.integers(0, 2, n),
+                                label=rng.integers(0, 2, n),
+                                score_hat=rng.random(n),
+                                label_hat=rng.integers(0, 2, n))

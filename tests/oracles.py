@@ -5,6 +5,10 @@ Beta score calibration as scipy.stats and scipy.optimize compute it.
 
 These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
+
+The exact-bits references are the exception: plain numpy formulas (boolean-mask
+gathers, one bincount, the elementwise 0/1 test) whose results `audit` and the
+column checks must reproduce bit for bit, not within a tolerance.
 """
 
 import csv
@@ -118,6 +122,24 @@ ORACLES = {
     "disparate_impact": disparate_impact_oracle,
     "nmi": nmi_oracle,
 }
+
+
+def group_mean_difference_exact_oracle(values, group):
+    """E{values | S=1} - E{values | S=0}, each group gathered with a boolean mask."""
+    return float(values[group == 1].mean() - values[group == 0].mean())
+
+
+def cell_counts_exact_oracle(group, label, label_hat):
+    """(S, Y, Yhat) counts indexed [s, y, yhat], from one bincount of 4 S + 2 Y + Yhat."""
+    return np.bincount(4 * group + 2 * label + label_hat, minlength=8).reshape(2, 2, 2)
+
+
+def binary_exact_oracle(name, values):
+    """A 0/1 column as contiguous int64, checked elementwise in its own dtype."""
+    values = np.ascontiguousarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise ValidationError(f"{name} must be 0 or 1")
+    return values.astype(np.int64, copy=False)
 
 
 def sample_label_split_oracle(pop, sample_policy, label_policy, sample_seed,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,11 @@ from fairaudit import ALL_BIAS_SPECS
 from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
-from oracles import read_predictions_oracle, write_population_csv_oracle
+from fairaudit.metrics import nmi_from_counts
+from oracles import (ORACLES, cell_counts_exact_oracle, disparate_impact_oracle,
+                     equal_misopportunity_oracle, equal_opportunity_oracle,
+                     group_mean_difference_exact_oracle, read_predictions_oracle,
+                     write_population_csv_oracle)
 
 SMALL_CFG = """\
 [experiment]
@@ -168,6 +173,45 @@ class TestAudit:
         assert len(rows) == 6
         values = {r["metric"]: float(r["value"]) for r in rows}
         assert values["disparate_impact"] == pytest.approx(3 / 7)
+
+    def test_large_csv_report_bytes_match_oracles(self, tmp_path):
+        n = 100_003
+        rng = np.random.default_rng(2026)
+        group = (rng.random(n) < 0.07).astype(np.int64)  # unbalanced groups
+        label = rng.integers(0, 2, n)
+        score = rng.random(n)
+        label_hat = (score + 0.2 * group >= 0.5).astype(np.int64)
+        path = tmp_path / "preds.csv"
+        # repr round-trips, so the CLI parses back exactly these scores
+        path.write_text(FIXTURE_CSV_HEADER + "".join(
+            f"{g},{y},{s!r},{p}\n" for g, y, s, p in
+            zip(group.tolist(), label.tolist(), score.tolist(), label_hat.tolist())))
+        outcomes = types.SimpleNamespace(group=group, label=label, score_hat=score,
+                                         label_hat=label_hat)
+        counts = cell_counts_exact_oracle(group, label, label_hat)
+        values = {
+            "mean_score_diff": group_mean_difference_exact_oracle(score, group),
+            "residual_diff": group_mean_difference_exact_oracle(score - label, group),
+            "equal_opportunity_diff": equal_opportunity_oracle(outcomes),
+            "equal_misopportunity_diff": equal_misopportunity_oracle(outcomes),
+            "disparate_impact": disparate_impact_oracle(outcomes),
+            # NMI reads only the (Ŷ, S) margin of the oracle's counts
+            "nmi": nmi_from_counts(counts.sum(axis=1).T),
+        }
+        assert list(values) == list(ORACLES)
+        want_json = json.dumps({
+            "metrics": {name: {"value": v, "status": "ok", "detail": ""}
+                        for name, v in values.items()},
+            "cell_counts": {f"s{s}_y{y}_yhat{p}": int(c)
+                            for (s, y, p), c in np.ndenumerate(counts)},
+        }, sort_keys=True, indent=2) + "\n"
+        want_csv = "metric,value,status,detail\r\n" + "".join(
+            f"{name},{v:.12g},ok,\r\n" for name, v in values.items())
+        for fmt, want in (("json", want_json), ("csv", want_csv)):
+            out = tmp_path / f"report.{fmt}"
+            assert main(["audit", "--input", str(path), "--out", str(out),
+                         "--format", fmt]) == 0
+            assert out.read_bytes() == want.encode(), fmt
 
     @pytest.mark.parametrize("header", [FIXTURE_CSV_HEADER.replace(",", ", "),
                                         "\ufeff" + FIXTURE_CSV_HEADER],

@@ -13,7 +13,8 @@ from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, 
 from fairaudit.errors import EmptySelectionError, ValidationError
 from fairaudit.harness import bundled_config_path, load_config
 from conftest import make_population, positive_rate, same_population
-from oracles import beta_shape_oracle, group_scores_oracle, write_population_csv_oracle
+from oracles import (beta_shape_oracle, binary_exact_oracle, group_scores_oracle,
+                     write_population_csv_oracle)
 
 
 def small_spec(**overrides):
@@ -79,6 +80,66 @@ class TestValidation:
         assert empty.label.shape == (0,)
         mask = np.array([True, False, True, True])
         assert same_population(pop.take(mask), pop.take(np.flatnonzero(mask)))
+
+
+BINARY_DTYPES = (np.int8, np.int64, np.uint8, np.uint64, np.bool_, np.float64, object, str)
+BINARY_VALUES = ([], [0], [1], [0, 1, 1, 0], [-1], [2], [0, 1, 2], [-1, 0, 1],
+                 [2**62], [-2**62], [1, 2**62], [0, math.nan], [math.nan], [0.5, 1],
+                 [0] * 999 + [2], [1] * 999 + [-1])
+
+
+def binary_cases():
+    """Every value list of BINARY_VALUES, and each integer dtype's extremes, in
+    every dtype of BINARY_DTYPES that can hold them."""
+    for dtype in BINARY_DTYPES:
+        extremes = []
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            extremes = [[int(info.min)], [int(info.max)], [0, 1, int(info.max)]]
+        for values in BINARY_VALUES + tuple(extremes):
+            try:
+                column = np.array(values, dtype=dtype)
+            except (OverflowError, ValueError):
+                continue  # not representable in dtype
+            shown = values if len(values) < 5 else f"{values[:2]}...{values[-1:]}"
+            yield pytest.param(column, id=f"{np.dtype(dtype).name}-{shown}")
+
+
+class TestBinaryColumn:
+    @pytest.mark.parametrize("column", binary_cases())
+    def test_same_verdict_as_elementwise_rule(self, column):
+        try:
+            want = binary_exact_oracle("label", column)
+        except ValidationError as e:
+            assert str(e) == "label must be 0 or 1"
+            with pytest.raises(ValidationError, match="^label must be 0 or 1$"):
+                datagen._binary("label", column)
+        else:
+            got = datagen._binary("label", column)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_every_dtype_reaches_each_possible_verdict(self):
+        verdicts = {}
+        for case in binary_cases():
+            (column,) = case.values
+            try:
+                binary_exact_oracle("label", column)
+                verdict = "accepted"
+            except ValidationError:
+                verdict = "rejected"
+            verdicts.setdefault(column.dtype.kind, set()).add(verdict)
+        # a bool column holds only 0 and 1
+        assert verdicts == {**{kind: {"accepted", "rejected"} for kind in "iufOU"},
+                            "b": {"accepted"}}
+
+    def test_strided_column_checked(self):
+        table = np.zeros(5, dtype=[("group", np.int64), ("score", np.float64)])
+        table["group"][3] = 2
+        with pytest.raises(ValidationError, match="^group must be 0 or 1$"):
+            datagen._binary("group", table["group"])
+        table["group"][3] = 1
+        assert datagen._binary("group", table["group"]).tolist() == [0, 0, 0, 1, 0]
 
 
 class TestGeneratePopulation:

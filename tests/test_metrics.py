@@ -5,10 +5,10 @@ import pytest
 
 from fairaudit import GroupedOutcomes, audit, entropy
 from fairaudit.errors import ValidationError
-from fairaudit.metrics import METRIC_NAMES, nmi_from_counts
+from fairaudit.metrics import METRIC_NAMES, cell_counts, nmi_from_counts
 
-from conftest import build_outcomes, random_outcomes
-from oracles import ORACLES
+from conftest import build_outcomes, outcomes_from_fields, random_outcomes
+from oracles import ORACLES, cell_counts_exact_oracle, group_mean_difference_exact_oracle
 
 
 def value(data, name):
@@ -315,6 +315,33 @@ class TestProperties:
                 assert a.status == b.status, name
                 if a.value is not None:
                     assert b.value == pytest.approx(a.value, abs=1e-12), name
+
+
+class TestExactBits:
+    """audit reproduces the boolean-mask group means and the one-bincount cell
+    counts bit for bit, on the CLI's strided layout."""
+
+    @pytest.mark.parametrize("share1", [0.0005, 0.03, 0.5, 0.97, 0.9995])
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 16, 127, 129, 1000, 4099, 65537, 200_000])
+    def test_mean_differences_and_cell_counts(self, n, share1):
+        rng = np.random.default_rng([n, round(share1 * 10_000)])
+        data = outcomes_from_fields(group=(rng.random(n) < share1).astype(np.int64),
+                                    label=rng.integers(0, 2, n),
+                                    score_hat=rng.random(n),
+                                    label_hat=rng.integers(0, 2, n))
+        report = audit(data)
+        counts = cell_counts_exact_oracle(data.group, data.label, data.label_hat)
+        assert np.array_equal(cell_counts(data), counts)
+        assert report.cell_counts == {cell: int(c) for cell, c in np.ndenumerate(counts)}
+        both_groups = counts[0].any() and counts[1].any()
+        for name, values in (("mean_score_diff", data.score_hat),
+                             ("residual_diff", data.score_hat - data.label)):
+            got = report.metric(name).value
+            if both_groups:
+                want = group_mean_difference_exact_oracle(values, data.group)
+                assert got.hex() == want.hex(), name
+            else:
+                assert got is None, name
 
 
 class TestValidation:

@@ -184,8 +184,14 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
         raise DataFormatError(f"{path}: {_first_bad_field(path, positions) or e}") from e
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
+    # every field is 8 bytes, so one pass unzips the 32-byte records into a (4, n)
+    # block whose rows GroupedOutcomes keeps without copying
+    columns = np.empty((len(PREDICTION_COLUMNS), table.size), dtype=np.int64)
+    columns.T[...] = table.view(np.int64).reshape(table.size, len(PREDICTION_COLUMNS))
+    del table
     try:
-        return GroupedOutcomes(**{name: table[name] for name, _ in PREDICTION_COLUMNS})
+        return GroupedOutcomes(**{name: columns[i].view(dtype)
+                                  for i, (name, dtype) in enumerate(PREDICTION_COLUMNS)})
     except ValidationError as e:
         raise DataFormatError(f"{path}: {e}") from e
 

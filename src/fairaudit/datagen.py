@@ -24,7 +24,8 @@ from .errors import EmptySelectionError, ValidationError
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
 # rows formatted per write by write_population_csv; bounds the text held at once
-_WRITE_CHUNK_ROWS = 8192
+# (about 0.5 MB of lists and text at any population size; larger chunks write no faster)
+_WRITE_CHUNK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -242,27 +243,38 @@ def generate_population(spec: PopulationSpec) -> Population:
     d = spec.feature_dim
     slopes = rng.uniform(0.5, 1.5, size=d - 1)
 
-    s0 = _group_scores(rng, spec.n_group0, spec.target_positive_rate_group0,
-                       spec.score_concentration)
-    s1 = _group_scores(rng, spec.n_group1, spec.target_positive_rate_group1,
-                       spec.score_concentration)
-    scores = np.concatenate([s0, s1])
-    groups = np.concatenate([np.zeros(spec.n_group0, dtype=int),
-                             np.ones(spec.n_group1, dtype=int)])
+    scores = np.concatenate([
+        _group_scores(rng, spec.n_group0, spec.target_positive_rate_group0,
+                      spec.score_concentration),
+        _group_scores(rng, spec.n_group1, spec.target_positive_rate_group1,
+                      spec.score_concentration)])
     order = rng.permutation(scores.size)
-    scores, groups = scores[order], groups[order]
+    scores = scores[order]
+    # group 0 fills positions [0, n_group0) before the shuffle
+    groups = (order >= spec.n_group0).astype(int)
+    del order
     n = scores.size
 
-    clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    logits = np.log(clamped / (1.0 - clamped))
+    # logit of the clamped score, in place; noise is the scratch column
+    logits = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    noise = np.subtract(1.0, logits)
+    np.divide(logits, noise, out=logits)
+    np.log(logits, out=logits)
     feats = np.empty((n, d))
     for j in range(d - 1):
-        feats[:, j] = slopes[j] * logits + spec.noise_scale * rng.standard_normal(n)
+        rng.standard_normal(out=noise)
+        noise *= spec.noise_scale
+        np.add(slopes[j] * logits, noise, out=feats[:, j])
+    del logits
     # standardized group indicator mixed with unit noise gives sample
     # correlation ~= proxy_strength
     rho = spec.proxy_strength
-    g_std = (groups - groups.mean()) / groups.std()
-    feats[:, d - 1] = rho * g_std + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
+    g_std = groups - groups.mean()
+    g_std /= groups.std()
+    g_std *= rho
+    rng.standard_normal(out=noise)
+    noise *= math.sqrt(1.0 - rho * rho)
+    np.add(g_std, noise, out=feats[:, d - 1])
 
     return Population(np.arange(n), groups, scores, feats)
 

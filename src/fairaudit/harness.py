@@ -194,8 +194,9 @@ def trial_dataset(config: ExperimentConfig, bias_spec: BiasSpec, seed: int,
 def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
               base: Population) -> MetricReport:
     """One pipeline pass on build_base(config): build -> split -> fit -> predict -> audit."""
-    data = trial_dataset(config, bias_spec, stable_hash(trial_seed, "sample"), base)
-    train, test = split(data, config.model.train_fraction, stable_hash(trial_seed, "split"))
+    # the sampled dataset is not named, so it is freed once split has copied it
+    train, test = split(trial_dataset(config, bias_spec, stable_hash(trial_seed, "sample"), base),
+                        config.model.train_fraction, stable_hash(trial_seed, "split"))
     model = fit(train, config.model)
     preds = predict(model, test)
     return audit(GroupedOutcomes.from_labeled(test, preds))

@@ -10,6 +10,7 @@ base-invariant by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,13 +70,33 @@ def _require_groups(counts: np.ndarray) -> None:
             raise UndefinedMetricError(f"group {s} is absent")
 
 
-def _group_mean_difference(values: np.ndarray, data: GroupedOutcomes,
-                           counts: np.ndarray) -> float:
-    """E{values | S=1} - E{values | S=0}."""
-    _require_groups(counts)
-    # compress gathers a boolean mask about 4x faster than values[mask] does
-    in_group1 = data.group == 1
-    return float(values.compress(in_group1).mean() - values.compress(~in_group1).mean())
+class _AuditInputs:
+    """What the METRICS functions read: the (S, Y, Ŷ) counts and each group's
+    (ŷ, Y), gathered on first use and shared by both mean differences."""
+
+    def __init__(self, data: GroupedOutcomes, counts: np.ndarray):
+        self.data, self.counts = data, counts
+
+    @cached_property
+    def by_group(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(ŷ, Y) of group 0, then of group 1; raises when a group is absent."""
+        _require_groups(self.counts)
+        # compress gathers a boolean mask about 4x faster than values[mask] does
+        in_group1 = self.data.group == 1
+        return [(self.data.score_hat.compress(mask), self.data.label.compress(mask))
+                for mask in (~in_group1, in_group1)]
+
+
+def _mean_score_difference(by_group) -> float:
+    """E{ŷ | S=1} - E{ŷ | S=0}."""
+    (s0, _), (s1, _) = by_group
+    return float(s1.mean() - s0.mean())
+
+
+def _residual_difference(by_group) -> float:
+    """E{ŷ - Y | S=1} - E{ŷ - Y | S=0}, without a full-length ŷ - Y."""
+    (s0, y0), (s1, y1) = by_group
+    return float((s1 - y1).mean() - (s0 - y0).mean())
 
 
 def _rate_difference(counts: np.ndarray, y: int) -> float:
@@ -86,7 +107,7 @@ def _rate_difference(counts: np.ndarray, y: int) -> float:
     return float(counts[1, y, 1] / counts[1, y].sum() - counts[0, y, 1] / counts[0, y].sum())
 
 
-def _disparate_impact(data: GroupedOutcomes, counts: np.ndarray) -> float:
+def _disparate_impact(counts: np.ndarray) -> float:
     """Pr{Ŷ=1 | S=1} / Pr{Ŷ=1 | S=0}."""
     _require_groups(counts)
     r1, r0 = (counts[s, :, 1].sum() / counts[s].sum() for s in (1, 0))
@@ -132,23 +153,21 @@ def nmi_from_counts(counts) -> float:
     return float(mi / np.sqrt(hy * hs))
 
 
-def _nmi(data: GroupedOutcomes, counts: np.ndarray) -> float:
+def _nmi(counts: np.ndarray) -> float:
     """NMI of (predicted label, group)."""
     _require_groups(counts)
     return nmi_from_counts(counts.sum(axis=1).T)  # the (Ŷ, S) margin
 
 
-# name -> (value at the non-discrimination point, fn(data, cell_counts(data)));
+# name -> (value at the non-discrimination point, fn(_AuditInputs));
 # fn raises UndefinedMetricError where the metric is undefined
 METRICS = {
-    "mean_score_diff": (0.0, lambda data, counts: _group_mean_difference(
-        data.score_hat, data, counts)),
-    "residual_diff": (0.0, lambda data, counts: _group_mean_difference(
-        data.score_hat - data.label, data, counts)),
-    "equal_opportunity_diff": (0.0, lambda data, counts: _rate_difference(counts, 1)),
-    "equal_misopportunity_diff": (0.0, lambda data, counts: _rate_difference(counts, 0)),
-    "disparate_impact": (1.0, _disparate_impact),
-    "nmi": (0.0, _nmi),
+    "mean_score_diff": (0.0, lambda inputs: _mean_score_difference(inputs.by_group)),
+    "residual_diff": (0.0, lambda inputs: _residual_difference(inputs.by_group)),
+    "equal_opportunity_diff": (0.0, lambda inputs: _rate_difference(inputs.counts, 1)),
+    "equal_misopportunity_diff": (0.0, lambda inputs: _rate_difference(inputs.counts, 0)),
+    "disparate_impact": (1.0, lambda inputs: _disparate_impact(inputs.counts)),
+    "nmi": (0.0, lambda inputs: _nmi(inputs.counts)),
 }
 METRIC_NAMES = tuple(METRICS)
 FAIR_POINTS = {name: fair_point for name, (fair_point, _) in METRICS.items()}
@@ -185,13 +204,14 @@ class MetricReport:
 def audit(data: GroupedOutcomes) -> MetricReport:
     """Compute every metric in METRICS; undefined markers are carried, never coerced."""
     counts = cell_counts(data)
+    inputs = _AuditInputs(data, counts)
     values = {}
     for name, (_, fn) in METRICS.items():
         try:
-            values[name] = MetricValue(fn(data, counts))
+            values[name] = MetricValue(fn(inputs))
         except UndefinedMetricError as e:
             values[name] = MetricValue(None, "undefined", str(e))
             continue
-        if fn is _nmi and not counts.sum(axis=(0, 1)).all():
+        if name == "nmi" and not counts.sum(axis=(0, 1)).all():
             values[name].detail = "degenerate prediction margin; mutual information is zero"
     return MetricReport(values, {cell: int(n) for cell, n in np.ndenumerate(counts)})

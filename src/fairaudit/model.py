@@ -166,7 +166,10 @@ def _objective(eta: np.ndarray, y: np.ndarray, beta: np.ndarray,
                lam: float, alpha: float) -> float:
     """Mean logistic loss plus the elastic-net penalty (intercept unpenalized), given
     the linear predictor eta = X @ beta + intercept."""
-    loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+    # the terms are formed in place, so y * eta is the only other full-length temporary
+    terms = np.logaddexp(0.0, eta)
+    terms -= y * eta
+    loss = float(np.mean(terms))
     penalty = lam * (alpha * float(np.abs(beta).sum())
                      + 0.5 * (1.0 - alpha) * float(beta @ beta))
     return loss + penalty

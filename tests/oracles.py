@@ -7,8 +7,9 @@ These stay loop-based and self-contained on purpose: they are the reference
 the vectorized implementations are checked against.
 
 The exact-bits references are the exception: plain numpy formulas (boolean-mask
-gathers, one bincount, the elementwise 0/1 test) whose results `audit` and the
-column checks must reproduce bit for bit, not within a tolerance.
+gathers, one bincount, the elementwise 0/1 test, a population built one
+full-size temporary per step) whose results `audit`, the column checks and
+`generate_population` must reproduce bit for bit, not within a tolerance.
 """
 
 import csv
@@ -140,6 +141,38 @@ def binary_exact_oracle(name, values):
     if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
     return values.astype(np.int64, copy=False)
+
+
+def generate_population_exact_oracle(spec):
+    """(id, group, score, features) of generate_population(spec), built with a 0/1
+    group column concatenated and permuted with the scores, and a new array for
+    every step of the logits and features."""
+    from fairaudit.datagen import SCORE_CLAMP, _group_scores
+
+    rng = np.random.default_rng(spec.seed)
+    d = spec.feature_dim
+    slopes = rng.uniform(0.5, 1.5, size=d - 1)
+
+    s0 = _group_scores(rng, spec.n_group0, spec.target_positive_rate_group0,
+                       spec.score_concentration)
+    s1 = _group_scores(rng, spec.n_group1, spec.target_positive_rate_group1,
+                       spec.score_concentration)
+    scores = np.concatenate([s0, s1])
+    groups = np.concatenate([np.zeros(spec.n_group0, dtype=int),
+                             np.ones(spec.n_group1, dtype=int)])
+    order = rng.permutation(scores.size)
+    scores, groups = scores[order], groups[order]
+    n = scores.size
+
+    clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    logits = np.log(clamped / (1.0 - clamped))
+    feats = np.empty((n, d))
+    for j in range(d - 1):
+        feats[:, j] = slopes[j] * logits + spec.noise_scale * rng.standard_normal(n)
+    rho = spec.proxy_strength
+    g_std = (groups - groups.mean()) / groups.std()
+    feats[:, d - 1] = rho * g_std + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
+    return np.arange(n), groups, scores, feats
 
 
 def sample_label_split_oracle(pop, sample_policy, label_policy, sample_seed,

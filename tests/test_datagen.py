@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, 
 from fairaudit.errors import EmptySelectionError, ValidationError
 from fairaudit.harness import bundled_config_path, load_config
 from conftest import make_population, positive_rate, same_population
-from oracles import (beta_shape_oracle, binary_exact_oracle, group_scores_oracle,
-                     write_population_csv_oracle)
+from oracles import (beta_shape_oracle, binary_exact_oracle, generate_population_exact_oracle,
+                     group_scores_oracle, write_population_csv_oracle)
 
 
 def small_spec(**overrides):
@@ -189,6 +190,19 @@ class TestGeneratePopulation:
         s = pop.score
         f0 = pop.features[:, 0]
         assert np.corrcoef(s, f0)[0, 1] > 0.5
+
+    @pytest.mark.parametrize("seed", [0, 11, 20260823])
+    @pytest.mark.parametrize("overrides", [
+        dict(feature_dim=2), dict(feature_dim=7), dict(n_group1=1), dict(n_group0=1),
+        dict(proxy_strength=0.0), dict(proxy_strength=1.0),
+        dict(noise_scale=0.37, score_concentration=4.5)])
+    def test_matches_exact_oracle(self, overrides, seed):
+        spec = small_spec(**{"n_group0": 3000, "n_group1": 700, "seed": seed, **overrides})
+        pop = generate_population(spec)
+        want = generate_population_exact_oracle(spec)
+        for name, column in zip(("id", "group", "score", "features"), want):
+            assert np.array_equal(getattr(pop, name), column), name
+            assert getattr(pop, name).dtype == column.dtype, name
 
 
 def bundled_calibrations():
@@ -431,6 +445,20 @@ class TestCsvExport:
                          [-0.0, 5e-324, 1e-5, 1 / 3, 0.5, 1.0],
                          np.hstack([features, -features]), [1, 0] * (n // 2) if labeled else None)
         assert_bytes_match_oracle(pop, tmp_path)
+
+    def test_memory_does_not_grow_with_the_population(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(13)
+        pop = Population(np.arange(n), rng.integers(0, 2, n), rng.random(n),
+                         rng.standard_normal((n, 5)), rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            write_labeled_csv(pop, tmp_path / "data.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 1024-row chunk as lists and text is about 0.5 MB; 8192-row chunks take 4.2 MB
+        assert peak < 1_000_000
 
     def test_empty_population_rejected(self, tmp_path):
         path = tmp_path / "pop.csv"

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY
                        PopulationSpec, SamplePolicy, bundled_config_path, load_config,
                        rank_datasets, rank_means, run_experiment, run_trial,
                        stable_hash)
+from fairaudit import harness
 from fairaudit.bias import build_dataset
 from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
@@ -285,6 +287,27 @@ class TestRunTrial:
         r1 = run_trial(cfg, spec, trial_seed=5, base=base)
         r2 = run_trial(cfg, spec, trial_seed=6, base=base)
         assert r1.to_json_dict() != r2.to_json_dict()
+
+    def test_sampled_dataset_is_freed_before_fit(self, monkeypatch):
+        cfg = small_config()
+        base = build_base(cfg)
+        sampled, alive_at_fit = [], []
+        real_trial_dataset, real_fit = harness.trial_dataset, harness.fit
+
+        def trial_dataset(*args):
+            data = real_trial_dataset(*args)
+            sampled.append(weakref.ref(data))
+            return data
+
+        def fit(train, params):
+            alive_at_fit.append(sampled[-1]() is not None)
+            return real_fit(train, params)
+
+        monkeypatch.setattr(harness, "trial_dataset", trial_dataset)
+        monkeypatch.setattr(harness, "fit", fit)
+        run_trial(cfg, BiasSpec(True, True), trial_seed=5, base=base)
+        # only the train and test copies split makes stay alive through the fit
+        assert alive_at_fit == [False]
 
     def test_base_A_has_balanced_groups(self):
         cfg = small_config(experiment="A",

@@ -418,9 +418,11 @@ class TestCsvExport:
             assert float(row["f0"]) == pytest.approx(pop.features[i, 0], abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 7])
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    # one row short of, exactly on and one row past a chunk boundary, and a ragged tail
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16387])
     @pytest.mark.parametrize("labeled", [False, True])
     def test_bytes_match_oracle(self, tmp_path, labeled, n, d):
+        assert 8192 % CHUNK == 0
         rng = np.random.default_rng(n + d)
         # magnitudes over 40 decades, so %.12g prints both fixed and exponent forms
         features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-20, 21, size=(n, d))

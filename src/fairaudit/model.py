@@ -114,14 +114,12 @@ def split(data: Population, train_fraction: float,
 
 
 def _design_matrix(data: Population, include_group: bool) -> np.ndarray:
+    """A new matrix, which fit and predict standardize in place: the features in
+    their memory layout (which decides the bits of the BLAS products), or, with
+    the group column appended, a C-ordered matrix."""
     if include_group:
         return np.column_stack([data.features, data.group.astype(float)])
-    return data.features
-
-
-def _own_copy(X_raw: np.ndarray, data: Population) -> np.ndarray | None:
-    """X_raw when _design_matrix built it afresh, so it may be overwritten; else None."""
-    return None if X_raw is data.features else X_raw
+    return data.features.copy(order="K")
 
 
 def _column_sums(A: np.ndarray) -> np.ndarray:
@@ -136,22 +134,6 @@ def _column_sums(A: np.ndarray) -> np.ndarray:
     if A.flags.c_contiguous and A.shape[1] > 1:
         return np.einsum("ij->j", A)
     return A.sum(axis=0)
-
-
-def _by_column(ufunc, A: np.ndarray, row: np.ndarray, out=None) -> np.ndarray:
-    """ufunc(A, row) with the row vector broadcast down A, bit for bit and in the
-    memory layout the broadcast gives.
-
-    On a C-ordered A the broadcast loops over each short row; here each column is
-    one long strided loop. Other layouts take the broadcast itself.
-    """
-    if not A.flags.c_contiguous:
-        return ufunc(A, row, out=out)
-    if out is None:
-        out = np.empty_like(A)
-    for j in range(A.shape[1]):
-        ufunc(A[:, j], row[j], out=out[:, j])
-    return out
 
 
 def _soft(x: float, threshold: float) -> float:
@@ -202,26 +184,27 @@ def subgradient_violation(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
 
 
 def fit(train: Population, params: ModelParams) -> Model:
-    """Fit elastic-net logistic regression on standardized features."""
+    """Fit elastic-net logistic regression on standardized features. train is
+    never written to: fit standardizes its own copy of the features."""
     from scipy.special import expit
 
     if not train:
         raise ValidationError("training set must be non-empty")
     if train.label is None:
         raise ValidationError("training set must be labeled")
-    X_raw = _design_matrix(train, params.include_group_feature)
+    X = _design_matrix(train, params.include_group_feature)
     y = train.label.astype(float)
-    if X_raw.shape[1] == 0:
+    if X.shape[1] == 0:
         raise ValidationError("training set must have at least one feature")
-    n, m = X_raw.shape
-    # X_raw.mean(axis=0) and X_raw.std(axis=0), reduced the way numpy does. X2
-    # holds the squared deviations, then the squared standardized features.
-    mu = _column_sums(X_raw) / n
-    X = _by_column(np.subtract, X_raw, mu, out=_own_copy(X_raw, train))
+    n, m = X.shape
+    # the design matrix's mean(axis=0) and std(axis=0), reduced the way numpy
+    # does. X2 holds the squared deviations, then the squared standardized features.
+    mu = _column_sums(X) / n
+    X -= mu
     X2 = X * X
     sd = np.sqrt(_column_sums(X2) / n)
     sd = np.where(sd > 0.0, sd, 1.0)
-    X = _by_column(np.divide, X, sd, out=X)
+    X /= sd
 
     lam, alpha = params.lam, params.alpha
     l1 = lam * alpha
@@ -306,16 +289,17 @@ def fit(train: Population, params: ModelParams) -> Model:
 
 
 def predict(model: Model, records: Population) -> Predictions:
-    """Score records with the fitted model and threshold into labels (ties map to 1)."""
+    """Score records with the fitted model and threshold into labels (ties map to 1).
+    records is never written to: predict standardizes its own copy of the features."""
     from scipy.special import expit
 
-    X_raw = _design_matrix(records, model.params.include_group_feature)
-    if X_raw.shape[1] != len(model.coefficients):
+    X = _design_matrix(records, model.params.include_group_feature)
+    if X.shape[1] != len(model.coefficients):
         raise ValidationError(
             f"feature dimension mismatch: model has {len(model.coefficients)}, "
-            f"records have {X_raw.shape[1]}")
-    X = _by_column(np.subtract, X_raw, model.feature_means, out=_own_copy(X_raw, records))
-    X = _by_column(np.divide, X, model.feature_scales, out=X)
+            f"records have {X.shape[1]}")
+    X -= model.feature_means
+    X /= model.feature_scales
     score = expit(X @ model.coefficients + model.intercept)
     return Predictions(score_hat=score,
                        label_hat=(score >= model.params.prediction_threshold).astype(int))

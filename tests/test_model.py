@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -326,6 +327,13 @@ def constant_column(features):
     return out
 
 
+def read_only(features):
+    """A copy of features that raises on any write into it."""
+    out = features.copy()
+    out.setflags(write=False)
+    return out
+
+
 class TestKernelMatchesOracle:
     """fit and predict reproduce the broadcast and numpy-reduction formulas of
     fit_oracle and predict_oracle bit for bit, whatever the feature matrix's layout."""
@@ -336,6 +344,7 @@ class TestKernelMatchesOracle:
         "row_sliced": row_sliced,
         "single_column": lambda f: f[:, :1].copy(),
         "constant_column": constant_column,
+        "read_only": read_only,
     }
 
     @staticmethod
@@ -371,3 +380,31 @@ class TestKernelMatchesOracle:
         train, test = split(data, 0.7, seed=38)
         self.assert_bit_identical(train, test,
                                   ModelParams(lam=0.01, include_group_feature=include_group))
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc saw allocated while call() ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    def test_fit_and_predict_standardize_one_design_matrix(self):
+        # Experiment A's size: about 17k training rows of 5 features plus the group column
+        n, rng = 24_000, np.random.default_rng(39)
+        features = rng.standard_normal((n, 5))
+        data = Population(np.arange(n), rng.integers(0, 2, n), rng.random(n), features,
+                          (rng.random(n) < expit(1.5 * features[:, 0])).astype(int))
+        train, test = split(data, 0.7, seed=40)
+        params = ModelParams(lam=0.01, include_group_feature=True)
+        model = fit(train, params)
+        matrix_bytes = [8 * len(rows) * 6 for rows in (train, test)]
+        # Standardizing the design matrix in place peaks at 3.5 (fit: X, X2 and
+        # the per-row buffers) and 1.35 (predict) matrices; a centered copy
+        # beside it adds one matrix to each.
+        assert traced_peak(lambda: fit(train, params)) < 4.0 * matrix_bytes[0]
+        assert traced_peak(lambda: predict(model, test)) < 1.85 * matrix_bytes[1]

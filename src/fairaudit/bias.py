@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import Population, write_population_csv
-from .errors import DegenerateDatasetError, ValidationError
+from .errors import DegenerateDatasetError, ValidationError, in_unit, require
 
 
 @dataclass(frozen=True)
@@ -18,10 +18,7 @@ class LabelPolicy:
     threshold_group1: float
 
     def __post_init__(self):
-        for name in ("threshold_group0", "threshold_group1"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {t}")
+        require(self, "threshold_group0 threshold_group1", in_unit, "lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -35,11 +32,8 @@ class SamplePolicy:
     p_group1_low: float
 
     def __post_init__(self):
-        for name in ("cutoff", "p_group0_high", "p_group0_low",
-                      "p_group1_high", "p_group1_low"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        require(self, "cutoff p_group0_high p_group0_low p_group1_high p_group1_low",
+                in_unit, "lie in [0, 1]")
 
 
 # ExperimentConfig's default policies
@@ -87,7 +81,7 @@ def build_dataset(pop: Population, sample_policy: SamplePolicy, label_policy: La
     # cell 2 * group + label, in sorted (group, label) order
     counts = np.bincount(2 * labeled.group + labeled.label, minlength=4).tolist()
     for k, count in enumerate(counts):
-        if count < min_cell_count:
+        if not count >= min_cell_count:
             raise DegenerateDatasetError(
                 f"cell (group={k // 2}, label={k % 2}) has {count} records, "
                 f"fewer than the minimum {min_cell_count}")

@@ -245,8 +245,6 @@ def cmd_rank(args) -> int:
             doc = json.load(fh)
         means = {int(k): v["metrics"][args.metric]["mean"]
                  for k, v in doc["datasets"].items()}
-    except FileNotFoundError as e:
-        raise ValidationError(str(e)) from e
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
     for index, mean in means.items():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySelectionError, ValidationError
+from .errors import EmptySelectionError, ValidationError, in_unit, require
 
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
@@ -84,7 +84,7 @@ def _column(name: str, values, dtype=None) -> np.ndarray:
 
 def _binary(name: str, values) -> np.ndarray:
     """values as contiguous 1-D int64, after checking each is 0 or 1 in its own dtype."""
-    # contiguous first: the check reads a strided view (a CSV field) about 2x slower
+    # contiguous first: the check reads a strided view (a structured-array field) about 2x slower
     values = _column(name, values)
     if values.dtype.kind in "biu":
         # two reductions, no full-size temporaries; min() of an empty column raises
@@ -112,21 +112,13 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_group0", "n_group1"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("target_positive_rate_group0", "target_positive_rate_group1"):
-            rate = getattr(self, name)
-            if not 0.0 < rate < 1.0:
-                raise ValidationError(f"{name} must lie strictly inside (0, 1), got {rate}")
-        if self.feature_dim < 2:
-            raise ValidationError(f"feature_dim must be >= 2, got {self.feature_dim}")
-        if not 0.0 <= self.proxy_strength <= 1.0:
-            raise ValidationError(f"proxy_strength must lie in [0, 1], got {self.proxy_strength}")
-        for name in ("noise_scale", "score_concentration"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        require(self, "n_group0 n_group1", lambda v: v > 0, "be positive")
+        require(self, "target_positive_rate_group0 target_positive_rate_group1",
+                lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
+        require(self, "feature_dim", lambda v: v >= 2, "be >= 2")
+        require(self, "proxy_strength", in_unit, "lie in [0, 1]")
+        require(self, "noise_scale score_concentration", lambda v: v > 0 and math.isfinite(v),
+                "be positive and finite")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""The toolkit's exception hierarchy, and `require`, which checks config fields."""
 
 
 class FairauditError(Exception):
@@ -31,3 +31,20 @@ class DataFormatError(FairauditError):
 
 class ExperimentError(FairauditError):
     """Every trial of a dataset cell failed."""
+
+
+def require(owner, names: str, holds, rule: str) -> None:
+    """Raise ValidationError(f"{name} must {rule}, got {value}") for the first of
+    owner's space-separated fields whose value fails holds, the condition that must
+    hold (so NaN fails every comparison). load_config maps the leading field name
+    of this one message form to the config file's [section] key.
+    """
+    for name in names.split():
+        value = getattr(owner, name)
+        if not holds(value):
+            raise ValidationError(f"{name} must {rule}, got {value}")
+
+
+def in_unit(value) -> bool:
+    """Whether value lies in [0, 1]."""
+    return 0.0 <= value <= 1.0

@@ -21,7 +21,7 @@ from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POL
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
 from .errors import (DegenerateDatasetError, ExperimentError,
-                     NumericalFailureError, ValidationError)
+                     NumericalFailureError, ValidationError, require)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
 from .model import ModelParams, fit, predict, split
 
@@ -69,10 +69,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("A", "B"):
             raise ValidationError(f"experiment must be 'A' or 'B', got {self.experiment!r}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.min_cell_count < 1:
-            raise ValidationError(f"min_cell_count must be >= 1, got {self.min_cell_count}")
+        require(self, "trials min_cell_count", lambda v: v >= 1, "be >= 1")
 
     def to_dict(self) -> dict:
         """The config under its config-file keys: [experiment] at the top level by

@@ -10,7 +10,6 @@ base-invariant by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,7 @@ class GroupedOutcomes:
     def __post_init__(self):
         self.group = _binary("group", self.group)
         self.label = _binary("label", self.label)
-        # contiguous: a field of a structured array (a CSV read) is a strided view
+        # contiguous: a library caller's structured-array field is a strided view
         self.score_hat = _column("score_hat", self.score_hat, float)
         self.label_hat = _binary("label_hat", self.label_hat)
         n = self.group.size
@@ -70,31 +69,27 @@ def _require_groups(counts: np.ndarray) -> None:
             raise UndefinedMetricError(f"group {s} is absent")
 
 
-class _AuditInputs:
-    """What the METRICS functions read: the (S, Y, Ŷ) counts and each group's
-    (ŷ, Y), gathered on first use and shared by both mean differences."""
-
-    def __init__(self, data: GroupedOutcomes, counts: np.ndarray):
-        self.data, self.counts = data, counts
-
-    @cached_property
-    def by_group(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(ŷ, Y) of group 0, then of group 1; raises when a group is absent."""
-        _require_groups(self.counts)
-        # compress gathers a boolean mask about 4x faster than values[mask] does
-        in_group1 = self.data.group == 1
-        return [(self.data.score_hat.compress(mask), self.data.label.compress(mask))
-                for mask in (~in_group1, in_group1)]
+def _by_group(data: GroupedOutcomes, counts: np.ndarray):
+    """(ŷ, Y) of group 0, then of group 1, shared by both mean differences; None
+    when a group is absent."""
+    if not counts.any(axis=(1, 2)).all():
+        return None
+    # compress gathers a boolean mask about 4x faster than values[mask] does
+    in_group1 = data.group == 1
+    return [(data.score_hat.compress(mask), data.label.compress(mask))
+            for mask in (~in_group1, in_group1)]
 
 
-def _mean_score_difference(by_group) -> float:
+def _mean_score_difference(counts: np.ndarray, by_group) -> float:
     """E{ŷ | S=1} - E{ŷ | S=0}."""
+    _require_groups(counts)
     (s0, _), (s1, _) = by_group
     return float(s1.mean() - s0.mean())
 
 
-def _residual_difference(by_group) -> float:
+def _residual_difference(counts: np.ndarray, by_group) -> float:
     """E{ŷ - Y | S=1} - E{ŷ - Y | S=0}, without a full-length ŷ - Y."""
+    _require_groups(counts)
     (s0, y0), (s1, y1) = by_group
     return float((s1 - y1).mean() - (s0 - y0).mean())
 
@@ -159,15 +154,15 @@ def _nmi(counts: np.ndarray) -> float:
     return nmi_from_counts(counts.sum(axis=1).T)  # the (Ŷ, S) margin
 
 
-# name -> (value at the non-discrimination point, fn(_AuditInputs));
+# name -> (value at the non-discrimination point, fn(counts, by_group));
 # fn raises UndefinedMetricError where the metric is undefined
 METRICS = {
-    "mean_score_diff": (0.0, lambda inputs: _mean_score_difference(inputs.by_group)),
-    "residual_diff": (0.0, lambda inputs: _residual_difference(inputs.by_group)),
-    "equal_opportunity_diff": (0.0, lambda inputs: _rate_difference(inputs.counts, 1)),
-    "equal_misopportunity_diff": (0.0, lambda inputs: _rate_difference(inputs.counts, 0)),
-    "disparate_impact": (1.0, lambda inputs: _disparate_impact(inputs.counts)),
-    "nmi": (0.0, lambda inputs: _nmi(inputs.counts)),
+    "mean_score_diff": (0.0, _mean_score_difference),
+    "residual_diff": (0.0, _residual_difference),
+    "equal_opportunity_diff": (0.0, lambda counts, _: _rate_difference(counts, 1)),
+    "equal_misopportunity_diff": (0.0, lambda counts, _: _rate_difference(counts, 0)),
+    "disparate_impact": (1.0, lambda counts, _: _disparate_impact(counts)),
+    "nmi": (0.0, lambda counts, _: _nmi(counts)),
 }
 METRIC_NAMES = tuple(METRICS)
 FAIR_POINTS = {name: fair_point for name, (fair_point, _) in METRICS.items()}
@@ -204,11 +199,11 @@ class MetricReport:
 def audit(data: GroupedOutcomes) -> MetricReport:
     """Compute every metric in METRICS; undefined markers are carried, never coerced."""
     counts = cell_counts(data)
-    inputs = _AuditInputs(data, counts)
+    by_group = _by_group(data, counts)
     values = {}
     for name, (_, fn) in METRICS.items():
         try:
-            values[name] = MetricValue(fn(inputs))
+            values[name] = MetricValue(fn(counts, by_group))
         except UndefinedMetricError as e:
             values[name] = MetricValue(None, "undefined", str(e))
             continue

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Population
-from .errors import DegenerateDatasetError, NumericalFailureError, ValidationError
+from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, in_unit,
+                     require)
 
 
 @dataclass(frozen=True)
@@ -31,23 +32,12 @@ class ModelParams:
     prediction_threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("lam", "tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValidationError(f"lam must be nonnegative, got {self.lam}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.max_iters <= 0:
-            raise ValidationError(f"max_iters must be positive, got {self.max_iters}")
-        if self.tolerance <= 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError(
-                f"train_fraction must lie strictly inside (0, 1), got {self.train_fraction}")
-        if not 0.0 <= self.prediction_threshold <= 1.0:
-            raise ValidationError(
-                f"prediction_threshold must lie in [0, 1], got {self.prediction_threshold}")
+        require(self, "lam tolerance", math.isfinite, "be finite")
+        require(self, "lam", lambda v: v >= 0, "be nonnegative")
+        require(self, "alpha", in_unit, "lie in [0, 1]")
+        require(self, "max_iters tolerance", lambda v: v > 0, "be positive")
+        require(self, "train_fraction", lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
+        require(self, "prediction_threshold", in_unit, "lie in [0, 1]")
 
 
 @dataclass

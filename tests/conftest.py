@@ -59,7 +59,7 @@ def confusion_fixture():
 
 def outcomes_from_fields(**columns):
     """GroupedOutcomes from the fields of one structured array of the columns:
-    the strided layout `fairaudit audit` passes after parsing a CSV."""
+    the strided layout a library caller may pass."""
     table = np.empty(len(columns["group"]), dtype=list(PREDICTION_COLUMNS))
     for name in table.dtype.names:
         table[name] = columns[name]
@@ -67,8 +67,8 @@ def outcomes_from_fields(**columns):
 
 
 def random_outcomes(rng, max_n=200):
-    """Random dataset for oracle-equivalence checks, in the CLI's strided
-    layout; cells may be empty."""
+    """Random dataset for oracle-equivalence checks, in a structured array's
+    strided layout; cells may be empty."""
     n = int(rng.integers(1, max_n + 1))
     return outcomes_from_fields(group=rng.integers(0, 2, n),
                                 label=rng.integers(0, 2, n),

@@ -163,6 +163,10 @@ class TestBuildDataset:
         pop = cells((0, 0.2, 5), (0, 0.8, 5), (1, 0.2, 5), (1, 0.8, 5))
         out = build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 5)
         assert len(out) == 20
+        # NaN is no minimum: every cell falls short of it
+        with pytest.raises(DegenerateDatasetError, match=r"^cell \(group=0, label=0\) has 5 "
+                           "records, fewer than the minimum nan$"):
+            build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, math.nan)
 
 
 class TestReferencePipeline:

@@ -380,8 +380,10 @@ class TestRank:
         assert " < " in out
 
     def test_rank_missing_report_exits_2(self, tmp_path, capsys):
-        assert main(["rank", "--report", str(tmp_path / "nope.json"),
-                     "--metric", "nmi"]) == 2
+        path = tmp_path / "nope.json"
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
 
     def test_rank_invalid_metric_exits_2(self, report_json):
         assert main(["rank", "--report", report_json, "--metric", "bogus"]) == 2

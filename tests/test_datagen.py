@@ -36,6 +36,7 @@ class TestValidation:
         ("noise_scale", 0.0), ("score_concentration", -1.0),
         ("noise_scale", math.nan), ("noise_scale", math.inf),
         ("score_concentration", math.nan), ("score_concentration", math.inf),
+        ("n_group0", math.nan), ("n_group1", math.nan), ("feature_dim", math.nan),
     ])
     def test_invalid_spec_names_field(self, field, value):
         with pytest.raises(ValidationError, match=field):

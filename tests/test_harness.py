@@ -68,6 +68,9 @@ class TestConfig:
             ExperimentConfig(experiment="C")
         with pytest.raises(ValidationError):
             ExperimentConfig(trials=0)
+        for name in ("trials", "min_cell_count"):
+            with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got nan$"):
+                ExperimentConfig(**{name: float("nan")})
 
     def test_load_bundled_configs(self):
         a = load_config(bundled_config_path("experiment_A.cfg"))
@@ -94,6 +97,8 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"invalid config .*: \[experiment\] name: "):
             load_config(path)
 
+    # every key with a parseable value its field rejects; base_seed (any int) and
+    # include_group_feature (any boolean) have none
     @pytest.mark.parametrize("section,key,value,message", [
         ("model", "lambda", "nan", "lambda must be finite, got nan"),
         ("label_policy.unbiased", "threshold_group0", "2",
@@ -101,6 +106,48 @@ class TestConfig:
         ("experiment", "name", "a", "name must be 'A' or 'B', got 'a'"),
         ("population", "positive_rate_group0", "1.5",
          "positive_rate_group0 must lie strictly inside (0, 1), got 1.5"),
+        ("experiment", "trials", "0", "trials must be >= 1, got 0"),
+        ("experiment", "min_cell_count", "-3", "min_cell_count must be >= 1, got -3"),
+        ("population", "n_group0", "0", "n_group0 must be positive, got 0"),
+        ("population", "n_group1", "-5", "n_group1 must be positive, got -5"),
+        ("population", "positive_rate_group1", "0",
+         "positive_rate_group1 must lie strictly inside (0, 1), got 0.0"),
+        ("population", "feature_dim", "1", "feature_dim must be >= 2, got 1"),
+        ("population", "proxy_strength", "-0.1", "proxy_strength must lie in [0, 1], got -0.1"),
+        ("population", "noise_scale", "inf", "noise_scale must be positive and finite, got inf"),
+        ("population", "score_concentration", "0",
+         "score_concentration must be positive and finite, got 0.0"),
+        ("label_policy.biased", "threshold_group0", "-0.5",
+         "threshold_group0 must lie in [0, 1], got -0.5"),
+        ("label_policy.biased", "threshold_group1", "nan",
+         "threshold_group1 must lie in [0, 1], got nan"),
+        ("label_policy.unbiased", "threshold_group1", "1.01",
+         "threshold_group1 must lie in [0, 1], got 1.01"),
+        ("sample_policy.biased", "cutoff", "1.5", "cutoff must lie in [0, 1], got 1.5"),
+        ("sample_policy.biased", "p_group0_high", "-1",
+         "p_group0_high must lie in [0, 1], got -1.0"),
+        ("sample_policy.biased", "p_group0_low", "nan",
+         "p_group0_low must lie in [0, 1], got nan"),
+        ("sample_policy.biased", "p_group1_high", "2",
+         "p_group1_high must lie in [0, 1], got 2.0"),
+        ("sample_policy.biased", "p_group1_low", "-0.25",
+         "p_group1_low must lie in [0, 1], got -0.25"),
+        ("sample_policy.unbiased", "cutoff", "-0.5", "cutoff must lie in [0, 1], got -0.5"),
+        ("sample_policy.unbiased", "p_group0_high", "1.1",
+         "p_group0_high must lie in [0, 1], got 1.1"),
+        ("sample_policy.unbiased", "p_group0_low", "3",
+         "p_group0_low must lie in [0, 1], got 3.0"),
+        ("sample_policy.unbiased", "p_group1_high", "-inf",
+         "p_group1_high must lie in [0, 1], got -inf"),
+        ("sample_policy.unbiased", "p_group1_low", "-1e-9",
+         "p_group1_low must lie in [0, 1], got -1e-09"),
+        ("model", "alpha", "1.5", "alpha must lie in [0, 1], got 1.5"),
+        ("model", "max_iters", "0", "max_iters must be positive, got 0"),
+        ("model", "tolerance", "0", "tolerance must be positive, got 0.0"),
+        ("model", "train_fraction", "1",
+         "train_fraction must lie strictly inside (0, 1), got 1.0"),
+        ("model", "prediction_threshold", "-0.5",
+         "prediction_threshold must lie in [0, 1], got -0.5"),
     ])
     def test_load_config_error_names_section_and_key(self, tmp_path, section, key, value,
                                                       message):

@@ -220,6 +220,8 @@ class TestFit:
             ModelParams(alpha=2.0)
         with pytest.raises(ValidationError):
             ModelParams(train_fraction=0.0)
+        with pytest.raises(ValidationError, match="^max_iters must be positive, got nan$"):
+            ModelParams(max_iters=math.nan)
 
     @pytest.mark.parametrize("field", ["lam", "tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySelectionError, ValidationError, in_unit, require
+from .errors import EmptySelectionError, ValidationError, in_unit, is_int, require
 
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
@@ -119,6 +119,8 @@ class PopulationSpec:
         require(self, "proxy_strength", in_unit, "lie in [0, 1]")
         require(self, "noise_scale score_concentration", lambda v: v > 0 and math.isfinite(v),
                 "be positive and finite")
+        require(self, "n_group0 n_group1 feature_dim seed", is_int, "be an integer")
+        require(self, "seed", lambda v: v >= 0, "be nonnegative")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:

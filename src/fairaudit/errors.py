@@ -1,5 +1,7 @@
 """The toolkit's exception hierarchy, and `require`, which checks config fields."""
 
+import numbers
+
 
 class FairauditError(Exception):
     """Base class for all toolkit errors."""
@@ -48,3 +50,8 @@ def require(owner, names: str, holds, rule: str) -> None:
 def in_unit(value) -> bool:
     """Whether value lies in [0, 1]."""
     return 0.0 <= value <= 1.0
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -21,7 +21,7 @@ from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POL
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
 from .errors import (DegenerateDatasetError, ExperimentError,
-                     NumericalFailureError, ValidationError, require)
+                     NumericalFailureError, ValidationError, is_int, require)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
 from .model import ModelParams, fit, predict, split
 
@@ -69,7 +69,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("A", "B"):
             raise ValidationError(f"experiment must be 'A' or 'B', got {self.experiment!r}")
+        for names, kind in (("population", PopulationSpec),
+                            ("biased_label_policy unbiased_label_policy", LabelPolicy),
+                            ("biased_sample_policy unbiased_sample_policy", SamplePolicy),
+                            ("model", ModelParams)):
+            require(self, names, lambda v: isinstance(v, kind), f"be a {kind.__name__}")
         require(self, "trials min_cell_count", lambda v: v >= 1, "be >= 1")
+        # negative base seeds are valid: stable_hash mixes any integer into a seed
+        require(self, "trials min_cell_count base_seed", is_int, "be an integer")
 
     def to_dict(self) -> dict:
         """The config under its config-file keys: [experiment] at the top level by

@@ -1,9 +1,10 @@
 """Stratified splitting and elastic-net logistic regression.
 
 The fitter runs cyclic coordinate descent with soft-thresholding on a local
-quadratic approximation of the logistic loss. Each outer iteration tries a
-Newton-weighted pass and falls back to the global 1/4 curvature bound (a true
-majorizer) whenever the penalized objective would increase, so the objective
+quadratic approximation of the logistic loss. One pass serves both curvatures,
+which the caller chooses: each outer iteration tries the pass with the Newton
+weights p(1-p) and falls back to the pass with the global 1/4 curvature bound (a
+true majorizer) whenever the penalized objective would increase, so the objective
 is monotonically non-increasing across iterations. Features are standardized
 internally; the intercept is unpenalized. scipy is imported inside the
 functions that use it, as in datagen.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .datagen import Population
 from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, in_unit,
-                     require)
+                     is_int, require)
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class ModelParams:
         require(self, "max_iters tolerance", lambda v: v > 0, "be positive")
         require(self, "train_fraction", lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
         require(self, "prediction_threshold", in_unit, "lie in [0, 1]")
+        require(self, "max_iters", is_int, "be an integer")
+        require(self, "include_group_feature", lambda v: isinstance(v, bool), "be a bool")
 
 
 @dataclass
@@ -200,32 +203,21 @@ def fit(train: Population, params: ModelParams) -> Model:
     l1 = lam * alpha
     l2 = lam * (1.0 - alpha)
     X2 = np.square(X, out=X2)
-    sq = None  # X2.mean(axis=0), computed when a 1/4-bound pass first needs it
     columns = [X[:, j] for j in range(m)]
     # per-row work buffers: Newton weights, working residual, one column's update
     w, wr, step = np.empty(n), np.empty(n), np.empty(n)
+    # the global bound 1/4 as (curvature, its column terms, its total), as cd_pass takes them
+    bound = (0.25, (0.25 * (_column_sums(X2) / n)).tolist(), 0.25 * n)
 
-    def cd_pass(beta, b, p, newton: bool):
+    def cd_pass(beta, b, p, curvature, wx2, w_sum):
         """One cyclic pass on the weighted quadratic approximation at (beta, b).
 
-        newton=True uses w = p(1-p); newton=False uses the global bound w = 1/4.
+        curvature is the per-row weight, an array or a scalar; wx2[j] is the mean
+        of curvature * x_j**2 and w_sum the curvature's total over the rows.
         Returns (beta, b, max coefficient change).
         """
-        nonlocal sq
         beta = beta.tolist()
-        if newton:
-            # w = clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
-            np.subtract(1.0, p, out=w)
-            np.multiply(p, w, out=w)
-            np.maximum(w, 1e-6, out=w)
-            wx2 = (X2.T @ w / n).tolist()
-            w_sum = float(w.sum())
-        else:
-            if sq is None:
-                sq = X2.mean(axis=0)
-            wx2 = (0.25 * sq).tolist()
-            w_sum = 0.25 * n
-        # residual of the working response: w * (z - X beta - b) = (y - p) here
+        # residual of the working response: curvature * (z - X beta - b) = y - p here
         np.subtract(y, p, out=wr)
         max_delta = 0.0
         for j, x_j in enumerate(columns):
@@ -236,8 +228,8 @@ def fit(train: Population, params: ModelParams) -> Model:
             new = _soft(rho, l1) / denom_j
             d = new - beta[j]
             if d != 0.0:
-                # wr -= (w or 1/4) * x_j * d
-                np.multiply(w if newton else 0.25, x_j, out=step)
+                # wr -= curvature * x_j * d
+                np.multiply(curvature, x_j, out=step)
                 np.multiply(step, d, out=step)
                 np.subtract(wr, step, out=wr)
                 beta[j] = new
@@ -257,14 +249,18 @@ def fit(train: Population, params: ModelParams) -> Model:
     iters = 0
     for iters in range(1, params.max_iters + 1):
         p = expit(eta)
-        new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=True)
-        new_eta = X @ new_beta + new_b
-        new_obj = _objective(new_eta, y, new_beta, lam, alpha)
-        if not np.isfinite(new_obj) or new_obj > obj:
-            # fall back to the majorizing bound, which cannot increase the objective
-            new_beta, new_b, max_delta = cd_pass(beta, b, p, newton=False)
+        # Newton weights w = clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
+        np.subtract(1.0, p, out=w)
+        np.multiply(p, w, out=w)
+        np.maximum(w, 1e-6, out=w)
+        # try the Newton step; if the objective is non-finite or would rise, take the
+        # majorizing bound's step, which cannot increase it
+        for terms in ((w, (X2.T @ w / n).tolist(), float(w.sum())), bound):
+            new_beta, new_b, max_delta = cd_pass(beta, b, p, *terms)
             new_eta = X @ new_beta + new_b
             new_obj = _objective(new_eta, y, new_beta, lam, alpha)
+            if np.isfinite(new_obj) and new_obj <= obj:
+                break
         if not np.isfinite(new_obj):
             raise NumericalFailureError("non-finite objective during optimization")
         beta, b, eta, obj = new_beta, new_b, new_eta, new_obj

@@ -37,6 +37,7 @@ class TestValidation:
         ("noise_scale", math.nan), ("noise_scale", math.inf),
         ("score_concentration", math.nan), ("score_concentration", math.inf),
         ("n_group0", math.nan), ("n_group1", math.nan), ("feature_dim", math.nan),
+        ("n_group1", 1.5), ("seed", math.nan), ("seed", 1.5), ("seed", -1),
     ])
     def test_invalid_spec_names_field(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -1,8 +1,9 @@
 import configparser
 import csv
 import json
+import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,68 @@ class TestConfig:
         for name in ("trials", "min_cell_count"):
             with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got nan$"):
                 ExperimentConfig(**{name: float("nan")})
+        for name, value, rule in (("trials", True, "be an integer"),
+                                  ("base_seed", math.nan, "be an integer"),
+                                  ("base_seed", True, "be an integer"),
+                                  ("population", math.nan, "be a PopulationSpec"),
+                                  ("model", None, "be a ModelParams")):
+            with pytest.raises(ValidationError, match=f"^{name} must {rule}, got {value}$"):
+                ExperimentConfig(**{name: value})
+
+    # one value each field of the five config dataclasses rejects, applied to a valid instance
+    VALID = {LabelPolicy: BIASED_LABEL_POLICY, SamplePolicy: BIASED_SAMPLE_POLICY,
+             ModelParams: ModelParams(), PopulationSpec: DEFAULT_POPULATION,
+             ExperimentConfig: ExperimentConfig()}
+    REJECTED = {
+        (LabelPolicy, "threshold_group0"): -0.5,
+        (LabelPolicy, "threshold_group1"): math.nan,
+        (SamplePolicy, "cutoff"): 1.5,
+        (SamplePolicy, "p_group0_high"): math.nan,
+        (SamplePolicy, "p_group0_low"): -1,
+        (SamplePolicy, "p_group1_high"): 2,
+        (SamplePolicy, "p_group1_low"): math.inf,
+        (ModelParams, "lam"): -1.0,
+        (ModelParams, "alpha"): 2.0,
+        (ModelParams, "max_iters"): 2.5,
+        (ModelParams, "tolerance"): 0.0,
+        (ModelParams, "train_fraction"): 1.0,
+        (ModelParams, "include_group_feature"): -1,
+        (ModelParams, "prediction_threshold"): math.nan,
+        (PopulationSpec, "n_group0"): 0,
+        (PopulationSpec, "n_group1"): 1.5,
+        (PopulationSpec, "target_positive_rate_group0"): 1.0,
+        (PopulationSpec, "target_positive_rate_group1"): 0.0,
+        (PopulationSpec, "feature_dim"): 1,
+        (PopulationSpec, "proxy_strength"): 1.1,
+        (PopulationSpec, "noise_scale"): math.inf,
+        (PopulationSpec, "score_concentration"): 0.0,
+        (PopulationSpec, "seed"): math.nan,
+        (ExperimentConfig, "experiment"): "C",
+        (ExperimentConfig, "population"): math.nan,
+        (ExperimentConfig, "biased_label_policy"): BIASED_SAMPLE_POLICY,
+        (ExperimentConfig, "unbiased_label_policy"): None,
+        (ExperimentConfig, "biased_sample_policy"): BIASED_LABEL_POLICY,
+        (ExperimentConfig, "unbiased_sample_policy"): {},
+        (ExperimentConfig, "model"): None,
+        (ExperimentConfig, "trials"): True,
+        (ExperimentConfig, "base_seed"): math.nan,
+        (ExperimentConfig, "min_cell_count"): 0,
+    }
+
+    def test_every_config_field_has_a_rejected_value(self):
+        assert set(self.REJECTED) == {(cls, f.name) for cls in self.VALID for f in fields(cls)}
+
+    @pytest.mark.parametrize("cls,name", REJECTED, ids=lambda v: getattr(v, "__name__", v))
+    def test_every_config_field_is_checked(self, cls, name):
+        with pytest.raises(ValidationError, match=f"^{name} must .*, got .*$"):
+            replace(self.VALID[cls], **{name: self.REJECTED[cls, name]})
+
+    def test_integer_fields_take_numpy_integers_and_negative_base_seeds(self):
+        spec = replace(DEFAULT_POPULATION, n_group0=np.int64(40), feature_dim=np.int32(3),
+                       seed=np.uint64(7))
+        config = ExperimentConfig(population=spec, model=ModelParams(max_iters=np.int64(5)),
+                                  trials=np.int16(2), base_seed=-1, min_cell_count=np.int8(1))
+        assert config.base_seed == -1
 
     def test_load_bundled_configs(self):
         a = load_config(bundled_config_path("experiment_A.cfg"))

@@ -222,6 +222,11 @@ class TestFit:
             ModelParams(train_fraction=0.0)
         with pytest.raises(ValidationError, match="^max_iters must be positive, got nan$"):
             ModelParams(max_iters=math.nan)
+        with pytest.raises(ValidationError, match="^max_iters must be an integer, got 2.5$"):
+            ModelParams(max_iters=2.5)
+        with pytest.raises(ValidationError,
+                           match="^include_group_feature must be a bool, got -1$"):
+            ModelParams(include_group_feature=-1)
 
     @pytest.mark.parametrize("field", ["lam", "tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -273,42 +278,6 @@ class TestPredict:
         bare = replace(data, label=None)
         assert np.allclose(predict(model, bare).score_hat,
                            predict(model, data).score_hat)
-
-
-class TestFitMatchesOracle:
-    @pytest.mark.parametrize("seed", [41, 97])
-    @pytest.mark.parametrize("base", ["A", "B"])
-    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
-    def test_bit_identical_on_grid_cells(self, spec, base, seed):
-        pop = generate_population(PopulationSpec(
-            n_group0=1000, n_group1=500, target_positive_rate_group0=0.5408,
-            target_positive_rate_group1=0.1217, feature_dim=3, noise_scale=3.0,
-            seed=seed))
-        if base == "A":
-            pop = make_base_dataset_A(pop, seed=seed + 2)
-        train, _ = split(trial_dataset(ExperimentConfig(), spec, seed + 3, pop), 0.7,
-                         seed=seed + 4)
-        params = ModelParams(lam=0.01, alpha=0.5, include_group_feature=base == "A")
-        got, want = fit(train, params), fit_oracle(train, params)
-        assert got.coefficients.tobytes() == want.coefficients.tobytes()
-        assert got.intercept.hex() == want.intercept.hex()
-        assert got.n_iters == want.n_iters and got.converged == want.converged
-        assert [v.hex() for v in got.objective_history] == \
-            [v.hex() for v in want.objective_history]
-
-    def test_bit_identical_through_fallback_step(self, monkeypatch):
-        data = balanced_labeled(200, 13)
-        params = ModelParams(lam=1e-4, alpha=0.5)
-        objectives = []
-        real = model_module._objective
-        monkeypatch.setattr(model_module, "_objective",
-                            lambda *a: objectives.append(real(*a)) or objectives[-1])
-        got, want = fit(data, params), fit_oracle(data, params)
-        # one objective at the start, one per iterate, one more per fallback
-        assert len(objectives) > 1 + got.n_iters, "no iterate took the fallback"
-        assert got.coefficients.tobytes() == want.coefficients.tobytes()
-        assert got.intercept.hex() == want.intercept.hex()
-        assert got.objective_history == want.objective_history
 
 
 def with_features(data, features):
@@ -382,6 +351,53 @@ class TestKernelMatchesOracle:
         train, test = split(data, 0.7, seed=38)
         self.assert_bit_identical(train, test,
                                   ModelParams(lam=0.01, include_group_feature=include_group))
+
+
+class TestFitMatchesOracle:
+    @pytest.mark.parametrize("seed", [41, 97])
+    @pytest.mark.parametrize("base", ["A", "B"])
+    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
+    def test_bit_identical_on_grid_cells(self, spec, base, seed):
+        pop = generate_population(PopulationSpec(
+            n_group0=1000, n_group1=500, target_positive_rate_group0=0.5408,
+            target_positive_rate_group1=0.1217, feature_dim=3, noise_scale=3.0,
+            seed=seed))
+        if base == "A":
+            pop = make_base_dataset_A(pop, seed=seed + 2)
+        train, _ = split(trial_dataset(ExperimentConfig(), spec, seed + 3, pop), 0.7,
+                         seed=seed + 4)
+        params = ModelParams(lam=0.01, alpha=0.5, include_group_feature=base == "A")
+        got, want = fit(train, params), fit_oracle(train, params)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.intercept.hex() == want.intercept.hex()
+        assert got.n_iters == want.n_iters and got.converged == want.converged
+        assert [v.hex() for v in got.objective_history] == \
+            [v.hex() for v in want.objective_history]
+
+    # seeds of balanced_labeled(200, seed) at which some iterate takes the fallback:
+    # 13 without and 16 with the group column, except in these cases
+    FALLBACK_SEEDS = {("constant_column", False): 17, ("constant_column", True): 19,
+                      ("single_column", True): 13}
+
+    @pytest.mark.parametrize("include_group", [False, True], ids=["features", "with_group"])
+    @pytest.mark.parametrize("layout", TestKernelMatchesOracle.LAYOUTS)
+    def test_bit_identical_through_fallback_step(self, monkeypatch, layout, include_group):
+        seed = self.FALLBACK_SEEDS.get((layout, include_group), 16 if include_group else 13)
+        data = balanced_labeled(200, seed)
+        data = with_features(data, TestKernelMatchesOracle.LAYOUTS[layout](data.features))
+        params = ModelParams(lam=1e-4, alpha=0.5, include_group_feature=include_group)
+        objectives = []
+        real = model_module._objective
+        monkeypatch.setattr(model_module, "_objective",
+                            lambda *a: objectives.append(real(*a)) or objectives[-1])
+        got, want = fit(data, params), fit_oracle(data, params)
+        # one objective at the start, one per iterate, one more per fallback
+        assert len(objectives) > 1 + got.n_iters, "no iterate took the fallback"
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.intercept.hex() == want.intercept.hex()
+        assert got.n_iters == want.n_iters
+        assert [v.hex() for v in got.objective_history] == \
+            [v.hex() for v in want.objective_history]
 
 
 def traced_peak(call):

@@ -1,7 +1,8 @@
 """Command-line entry point: generate, build, audit, experiment, rank.
 
 Exit codes: 0 success (undefined metrics included), 2 config/usage error,
-3 data error, 4 numerical failure.
+3 data error, 4 numerical failure. Each error class in `errors` carries its
+own exit code; an OSError (an unreadable or unwritable path) is a usage error.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from . import harness
 # cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
 from .bias import build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
-from .errors import (DataFormatError, DegenerateDatasetError, EmptySelectionError,
-                     ExperimentError, NumericalFailureError, ValidationError)
+from .errors import DataFormatError, FairauditError, ValidationError
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,8 +207,7 @@ def cmd_audit(args) -> int:
             writer.writerow(["metric", "value", "status", "detail"])
             for name in METRIC_NAMES:
                 mv = report.metric(name)
-                value = "" if mv.value is None else format(mv.value, ".12g")
-                writer.writerow([name, value, mv.status, mv.detail])
+                writer.writerow([name, mv.csv_text, mv.status, mv.detail])
     for name in METRIC_NAMES:
         mv = report.metric(name)
         shown = "undefined" if mv.value is None else format(mv.value, ".6g")
@@ -279,19 +276,9 @@ def main(argv=None) -> int:
                 "experiment": cmd_experiment, "rank": cmd_rank}
     try:
         return handlers[args.command](args)
-    except ValidationError as e:
+    except (FairauditError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataFormatError, DegenerateDatasetError, EmptySelectionError,
-            ExperimentError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalFailureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return getattr(e, "exit_code", EXIT_CONFIG)
 
 
 def entry() -> None:

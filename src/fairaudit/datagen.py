@@ -43,7 +43,7 @@ class Population:
         self.id = _column("id", self.id, np.int64)
         self.group = _binary("group", self.group)
         self.score = _column("score", self.score, float)
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = _array("features", self.features, float)
         if self.label is not None:
             self.label = _binary("label", self.label)
         n = self.id.size
@@ -74,9 +74,35 @@ class Population:
                           None if self.label is None else self.label.take(index))
 
 
+def _array(name: str, values, dtype=None) -> np.ndarray:
+    """values as an array of dtype (by default, their own). Before a cast to int64 or
+    float64 it checks, in the values' own dtype, that each is a real number and, for
+    int64, an integer that int64 holds; values already of dtype take no extra pass."""
+    try:
+        values = np.asarray(values)
+    except ValueError as e:  # nested lists of unequal lengths
+        raise ValidationError(f"{name}: {e}") from None
+    if dtype is None or values.dtype == dtype:
+        return values
+    kind = values.dtype.kind
+    if dtype is np.int64:
+        if kind == "f":  # NaN fails every comparison; the bounds exclude +-inf
+            integral = np.all((np.trunc(values) == values)
+                              & (values >= -2.0**63) & (values < 2.0**63))
+        elif kind == "u":
+            integral = values.size == 0 or values.max() < 2**63
+        else:
+            integral = kind in "bi"
+        if not integral:
+            raise ValidationError(f"{name} must hold integers in the int64 range")
+    elif kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {values.dtype}")
+    return values.astype(dtype)
+
+
 def _column(name: str, values, dtype=None) -> np.ndarray:
-    """values as a contiguous 1-D array of dtype (by default, their own)."""
-    values = np.asarray(values, dtype=dtype)
+    """values as a contiguous 1-D array of dtype (by default, their own); see _array."""
+    values = _array(name, values, dtype)
     if values.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D column, got shape {values.shape}")
     return np.ascontiguousarray(values)

@@ -1,14 +1,19 @@
-"""The toolkit's exception hierarchy, and `require`, which checks config fields."""
+"""The toolkit's exception hierarchy, and `require`, which checks config fields.
+
+Each class's `exit_code` is what the command line returns for it: 2 for a
+ValidationError, 4 for a NumericalFailureError, 3 for any other (data) error."""
 
 import numbers
 
 
 class FairauditError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 3
 
 
 class ValidationError(FairauditError):
     """A spec, parameter, or input failed validation; message names the field."""
+    exit_code = 2
 
 
 class EmptySelectionError(FairauditError):
@@ -25,6 +30,7 @@ class UndefinedMetricError(FairauditError):
 
 class NumericalFailureError(FairauditError):
     """The optimizer hit a non-finite loss or diverged."""
+    exit_code = 4
 
 
 class DataFormatError(FairauditError):
@@ -38,12 +44,17 @@ class ExperimentError(FairauditError):
 def require(owner, names: str, holds, rule: str) -> None:
     """Raise ValidationError(f"{name} must {rule}, got {value}") for the first of
     owner's space-separated fields whose value fails holds, the condition that must
-    hold (so NaN fails every comparison). load_config maps the leading field name
-    of this one message form to the config file's [section] key.
+    hold (so NaN fails every comparison, and so does a value of a type the condition
+    raises TypeError on). load_config maps the leading field name of this one
+    message form to the config file's [section] key.
     """
     for name in names.split():
         value = getattr(owner, name)
-        if not holds(value):
+        try:
+            held = holds(value)
+        except TypeError:  # e.g. '5' > 0, or math.isfinite(None)
+            held = False
+        if not held:
             raise ValidationError(f"{name} must {rule}, got {value}")
 
 

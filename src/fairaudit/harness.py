@@ -12,7 +12,7 @@ import configparser
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
                         config.model.train_fraction, stable_hash(trial_seed, "split"))
     model = fit(train, config.model)
     preds = predict(model, test)
-    return audit(GroupedOutcomes.from_labeled(test, preds))
+    return audit(GroupedOutcomes(test.group, test.label, preds.score_hat, preds.label_hat))
 
 
 @dataclass
@@ -216,18 +216,11 @@ class TrialResult:
 
 @dataclass
 class DatasetResult:
-    bias_spec: BiasSpec
     trials: list[TrialResult]
 
     def metric_values(self, name: str) -> list[float]:
-        values = []
-        for t in self.trials:
-            if t.report is None:
-                continue
-            mv = t.report.metric(name)
-            if mv.status == "ok" and mv.value is not None:
-                values.append(mv.value)
-        return values
+        values = (t.report.metric(name).value for t in self.trials if t.report is not None)
+        return [value for value in values if value is not None]
 
     def metric_mean(self, name: str) -> float | None:
         values = self.metric_values(name)
@@ -239,7 +232,7 @@ class DatasetResult:
 
     def undefined_count(self, name: str) -> int:
         return sum(1 for t in self.trials
-                   if t.report is not None and t.report.metric(name).status != "ok")
+                   if t.report is not None and t.report.metric(name).value is None)
 
     @property
     def failures(self) -> list[TrialResult]:
@@ -267,8 +260,7 @@ class ExperimentReport:
                     ],
                 }
             out["datasets"][str(index)] = {
-                "bias_spec": {"sample_bias": result.bias_spec.sample_bias,
-                              "label_bias": result.bias_spec.label_bias},
+                "bias_spec": asdict(ALL_BIAS_SPECS[index - 1]),
                 "metrics": metrics,
                 "failures": [{"trial": t.trial, "seed": t.seed, "error": t.error}
                              for t in result.failures],
@@ -291,8 +283,7 @@ class ExperimentReport:
                             writer.writerow([index, name, t.trial, "", "failed"])
                             continue
                         mv = t.report.metric(name)
-                        value = "" if mv.value is None else format(mv.value, ".12g")
-                        writer.writerow([index, name, t.trial, value, mv.status])
+                        writer.writerow([index, name, t.trial, mv.csv_text, mv.status])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -311,7 +302,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 trials.append(TrialResult(trial=t, seed=seed, report=None, error=str(e)))
         if all(t.report is None for t in trials):
             raise ExperimentError(f"all trials of dataset {index} failed")
-        report.datasets[index] = DatasetResult(bias_spec=bias_spec, trials=trials)
+        report.datasets[index] = DatasetResult(trials)
     return report
 
 

@@ -45,11 +45,25 @@ class GroupedOutcomes:
         if not ((self.score_hat >= 0.0) & (self.score_hat <= 1.0)).all():
             raise ValidationError("score_hat must lie in [0, 1]")
 
-    @classmethod
-    def from_labeled(cls, records, predictions) -> "GroupedOutcomes":
-        return cls(group=records.group, label=records.label,
-                   score_hat=predictions.score_hat,
-                   label_hat=predictions.label_hat)
+
+@dataclass
+class MetricValue:
+    """A metric's value, None where it is undefined, and a detail that says why."""
+
+    value: float | None
+    detail: str = ""
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.value is not None else "undefined"
+
+    @property
+    def csv_text(self) -> str:
+        """The value as both CSV writers print it: 12 significant digits, "" if undefined."""
+        return "" if self.value is None else format(self.value, ".12g")
+
+    def to_json_dict(self) -> dict:
+        return {"value": self.value, "status": self.status, "detail": self.detail}
 
 
 def cell_counts(data: GroupedOutcomes) -> np.ndarray:
@@ -69,46 +83,44 @@ def _require_groups(counts: np.ndarray) -> None:
             raise UndefinedMetricError(f"group {s} is absent")
 
 
-def _by_group(data: GroupedOutcomes, counts: np.ndarray):
-    """(ŷ, Y) of group 0, then of group 1, shared by both mean differences; None
-    when a group is absent."""
-    if not counts.any(axis=(1, 2)).all():
-        return None
+def _by_group(data: GroupedOutcomes):
+    """(ŷ, Y) of group 0, then of group 1, shared by both mean differences."""
     # compress gathers a boolean mask about 4x faster than values[mask] does
     in_group1 = data.group == 1
     return [(data.score_hat.compress(mask), data.label.compress(mask))
             for mask in (~in_group1, in_group1)]
 
 
-def _mean_score_difference(counts: np.ndarray, by_group) -> float:
+def _mean_score_difference(counts: np.ndarray, by_group) -> MetricValue:
     """E{ŷ | S=1} - E{ŷ | S=0}."""
     _require_groups(counts)
     (s0, _), (s1, _) = by_group
-    return float(s1.mean() - s0.mean())
+    return MetricValue(float(s1.mean() - s0.mean()))
 
 
-def _residual_difference(counts: np.ndarray, by_group) -> float:
+def _residual_difference(counts: np.ndarray, by_group) -> MetricValue:
     """E{ŷ - Y | S=1} - E{ŷ - Y | S=0}, without a full-length ŷ - Y."""
     _require_groups(counts)
     (s0, y0), (s1, y1) = by_group
-    return float((s1 - y1).mean() - (s0 - y0).mean())
+    return MetricValue(float((s1 - y1).mean() - (s0 - y0).mean()))
 
 
-def _rate_difference(counts: np.ndarray, y: int) -> float:
+def _rate_difference(counts: np.ndarray, y: int) -> MetricValue:
     """Pr{Ŷ=1 | S=1, Y=y} - Pr{Ŷ=1 | S=0, Y=y}."""
     for s in (1, 0):
         if not counts[s, y].any():
             raise UndefinedMetricError(f"no records with S={s}, Y={y}")
-    return float(counts[1, y, 1] / counts[1, y].sum() - counts[0, y, 1] / counts[0, y].sum())
+    return MetricValue(float(counts[1, y, 1] / counts[1, y].sum()
+                             - counts[0, y, 1] / counts[0, y].sum()))
 
 
-def _disparate_impact(counts: np.ndarray) -> float:
+def _disparate_impact(counts: np.ndarray) -> MetricValue:
     """Pr{Ŷ=1 | S=1} / Pr{Ŷ=1 | S=0}."""
     _require_groups(counts)
     r1, r0 = (counts[s, :, 1].sum() / counts[s].sum() for s in (1, 0))
     if r0 == 0.0:
         raise UndefinedMetricError("group-0 positive prediction rate is zero")
-    return float(r1 / r0)
+    return MetricValue(float(r1 / r0))
 
 
 def entropy(dist) -> float:
@@ -148,13 +160,15 @@ def nmi_from_counts(counts) -> float:
     return float(mi / np.sqrt(hy * hs))
 
 
-def _nmi(counts: np.ndarray) -> float:
-    """NMI of (predicted label, group)."""
+def _nmi(counts: np.ndarray) -> MetricValue:
+    """NMI of (predicted label, group), zero with a detail when Ŷ takes one value."""
     _require_groups(counts)
-    return nmi_from_counts(counts.sum(axis=1).T)  # the (Ŷ, S) margin
+    margin = counts.sum(axis=1).T  # the (Ŷ, S) margin
+    return MetricValue(nmi_from_counts(margin), "" if margin.sum(axis=1).all() else
+                       "degenerate prediction margin; mutual information is zero")
 
 
-# name -> (value at the non-discrimination point, fn(counts, by_group));
+# name -> (value at the non-discrimination point, fn(counts, by_group) -> MetricValue);
 # fn raises UndefinedMetricError where the metric is undefined
 METRICS = {
     "mean_score_diff": (0.0, _mean_score_difference),
@@ -166,16 +180,6 @@ METRICS = {
 }
 METRIC_NAMES = tuple(METRICS)
 FAIR_POINTS = {name: fair_point for name, (fair_point, _) in METRICS.items()}
-
-
-@dataclass
-class MetricValue:
-    value: float | None
-    status: str = "ok"  # "ok" | "undefined"
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "status": self.status, "detail": self.detail}
 
 
 @dataclass
@@ -199,14 +203,11 @@ class MetricReport:
 def audit(data: GroupedOutcomes) -> MetricReport:
     """Compute every metric in METRICS; undefined markers are carried, never coerced."""
     counts = cell_counts(data)
-    by_group = _by_group(data, counts)
+    by_group = _by_group(data)
     values = {}
     for name, (_, fn) in METRICS.items():
         try:
-            values[name] = MetricValue(fn(counts, by_group))
+            values[name] = fn(counts, by_group)
         except UndefinedMetricError as e:
-            values[name] = MetricValue(None, "undefined", str(e))
-            continue
-        if name == "nmi" and not counts.sum(axis=(0, 1)).all():
-            values[name].detail = "degenerate prediction margin; mutual information is zero"
+            values[name] = MetricValue(None, str(e))
     return MetricReport(values, {cell: int(n) for cell, n in np.ndenumerate(counts)})

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fairaudit
-from fairaudit import ALL_BIAS_SPECS
+from fairaudit import ALL_BIAS_SPECS, cli, errors
 from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
@@ -401,6 +401,21 @@ class TestRank:
                     {"datasets": {"1": {"metrics": {"nmi": {"mean": 10 ** 400}}}}}):
             path.write_text(json.dumps(doc))
             assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
+    # README: 2 config or usage error, 3 data error, 4 numerical failure
+    codes = {errors.ValidationError: 2, errors.NumericalFailureError: 4,
+             errors.EmptySelectionError: 3, errors.DegenerateDatasetError: 3,
+             errors.UndefinedMetricError: 3, errors.DataFormatError: 3,
+             errors.ExperimentError: 3, errors.FairauditError: 3, OSError: 2}
+    assert set(errors.FairauditError.__subclasses__()) < set(codes)
+    for error, code in codes.items():
+        def fail(args, error=error):
+            raise error(f"{error.__name__} raised")
+        monkeypatch.setattr(cli, "cmd_rank", fail)
+        assert main(["rank", "--report", "r.json", "--metric", "nmi"]) == code, error
+        assert capsys.readouterr().err == f"error: {error.__name__} raised\n"
 
 
 def run_fresh_python(code):

@@ -66,6 +66,28 @@ class TestValidation:
             with pytest.raises(ValidationError, match=f"^{name} must be a 1-D column"):
                 Population(**{**columns, name: [[v] for v in columns[name]]})
 
+    @pytest.mark.parametrize("name,values", [
+        ("id", [1.7, 2.2]), ("id", [2**63, 1]), ("id", [math.inf, 1]), ("id", [math.nan, 1]),
+        ("id", ["a", "b"]), ("id", np.array([2**63, 1], dtype=np.uint64)), ("id", [1, 2j]),
+        ("id", [[1], [2, 3]]), ("score", ["a", "b"]), ("score", ["0.5", "0.1"]),
+        ("score", [0.5 + 0j, 0.1]), ("features", [["a", 1.0], [0.9, 0.0]]),
+        ("features", [[1j, 1.0], [0.9, 0.0]]),
+    ], ids=repr)
+    def test_unconvertible_column_names_itself(self, name, values):
+        columns = dict(id=[0, 1], group=[0, 1], score=[.2, .7], features=[[1., 2.], [3., 4.]])
+        with pytest.raises(ValidationError, match=f"^{name}"):
+            Population(**{**columns, name: values})
+
+    def test_ids_cast_only_when_integral(self):
+        columns = dict(group=[0, 1], score=[.2, .7], features=[[1., 2.], [3., 4.]])
+        ids = np.array([5, 6])
+        assert Population(id=ids, **columns).id is ids  # int64 input is kept as it is
+        for values in ([1.0, -2.0], np.array([1, 2], dtype=np.uint64), [True, False]):
+            got = Population(id=values, **columns).id
+            assert got.dtype == np.int64 and got.tolist() == [int(v) for v in values]
+        with pytest.raises(ValidationError, match="^id must hold integers in the int64 range$"):
+            Population(id=[1.0, 2.5], **columns)
+
     def test_take_selects_rows_in_order(self):
         pop = make_population([0, 1, 1, 0], [0.1, 0.2, 0.3, 0.4],
                               np.arange(8.0).reshape(4, 2), labels=[1, 0, 1, 0])

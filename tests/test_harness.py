@@ -128,6 +128,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{name} must .*, got .*$"):
             replace(self.VALID[cls], **{name: self.REJECTED[cls, name]})
 
+    # a value of a type its field's rule cannot compare fails that rule
+    WRONG_TYPE = {
+        "lam must be finite, got x": lambda: ModelParams(lam="x"),
+        "trials must be >= 1, got 3": lambda: ExperimentConfig(trials="3"),
+        "threshold_group0 must lie in [0, 1], got None": lambda: LabelPolicy(None, 0.5),
+        "alpha must lie in [0, 1], got (1+0j)": lambda: ModelParams(alpha=1 + 0j),
+        "n_group0 must be positive, got 5": lambda: PopulationSpec("5", 5, .5, .5),
+        "cutoff must lie in [0, 1], got a": lambda: SamplePolicy("a", .5, .5, .5, .5),
+        "noise_scale must be positive and finite, got [1.0]":
+            lambda: replace(DEFAULT_POPULATION, noise_scale=[1.0]),
+    }
+
+    @pytest.mark.parametrize("message", WRONG_TYPE)
+    def test_wrong_type_fails_the_fields_rule(self, message):
+        with pytest.raises(ValidationError) as raised:
+            self.WRONG_TYPE[message]()
+        assert str(raised.value) == message
+
     def test_integer_fields_take_numpy_integers_and_negative_base_seeds(self):
         spec = replace(DEFAULT_POPULATION, n_group0=np.int64(40), feature_dim=np.int32(3),
                        seed=np.uint64(7))

@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fairaudit import GroupedOutcomes, audit, entropy
 from fairaudit.errors import ValidationError
-from fairaudit.metrics import METRIC_NAMES, cell_counts, nmi_from_counts
+from fairaudit.metrics import (METRIC_NAMES, METRICS, MetricValue, _by_group, cell_counts,
+                               nmi_from_counts)
 
 from conftest import build_outcomes, outcomes_from_fields, random_outcomes
 from oracles import ORACLES, cell_counts_exact_oracle, group_mean_difference_exact_oracle
@@ -211,6 +213,11 @@ class TestAuditReport:
         assert report.metric("disparate_impact").status == "undefined"
         assert report.metric("mean_score_diff").status == "ok"
 
+    def test_status_follows_value(self):
+        assert [f.name for f in fields(MetricValue)] == ["value", "detail"]
+        assert MetricValue(0.0).status == "ok" and MetricValue(None, "why").status == "undefined"
+        assert (MetricValue(-1 / 3).csv_text, MetricValue(None).csv_text) == ("-0.333333333333", "")
+
     def test_unknown_metric_name_rejected(self, confusion_fixture):
         with pytest.raises(ValidationError, match="unknown metric 'accuracy'"):
             audit(confusion_fixture).metric("accuracy")
@@ -262,6 +269,16 @@ class TestAuditMatchesPublicFunctions:
         got = audit(build_outcomes(cells)).metric(name)
         assert (got.status, got.detail) == (status, detail)
         assert (got.value is None) == (status != "ok")
+
+    @pytest.mark.parametrize("cells", [[(0, 0, 1, 5), (1, 0, 1, 5)], [(0, 0, 0, 5), (1, 1, 1, 5)],
+                                       [(0, 1, 0, 3), (0, 0, 1, 4), (1, 1, 1, 2), (1, 0, 0, 6)]])
+    def test_each_metric_returns_the_value_audit_reports(self, cells):
+        # audit adds nothing to a defined metric's MetricValue, NMI's detail included
+        data = build_outcomes(cells)
+        report = audit(data)
+        for name, (_, fn) in METRICS.items():
+            if report.metric(name).value is not None:
+                assert fn(cell_counts(data), _by_group(data)) == report.metric(name), name
 
 
 class TestProperties:
@@ -376,6 +393,11 @@ class TestValidation:
         columns[name] = [[v] for v in columns[name]]
         with pytest.raises(ValidationError, match=f"^{name} must be a 1-D column"):
             GroupedOutcomes(**columns)
+
+    @pytest.mark.parametrize("values", [["a", "b"], ["0.5", "0.1"], [0.5j, 0.5]])
+    def test_non_numeric_score_hat_rejected(self, values):
+        with pytest.raises(ValidationError, match="^score_hat must hold real numbers"):
+            GroupedOutcomes(group=[0, 1], label=[0, 1], score_hat=values, label_hat=[0, 1])
 
     def test_score_out_of_range(self):
         with pytest.raises(ValidationError):

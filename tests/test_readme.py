@@ -58,7 +58,8 @@ def test_trial_recipe_rebuilds_the_trial():
     namespace = run_snippet("trial_dataset(")
     config, k, t = namespace["config"], namespace["k"], namespace["t"]
     train, test = namespace["train"], namespace["test"]
-    rebuilt = audit(GroupedOutcomes.from_labeled(test, predict(fit(train, config.model), test)))
+    preds = predict(fit(train, config.model), test)
+    rebuilt = audit(GroupedOutcomes(test.group, test.label, preds.score_hat, preds.label_hat))
     spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
     expected = run_trial(config, spec, stable_hash(config.base_seed, k, t),
                          base=build_base(config))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import warnings
@@ -22,7 +21,7 @@ from . import harness
 # cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
 from .bias import build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
-from .errors import DataFormatError, FairauditError, ValidationError
+from .errors import DataFormatError, FairauditError, ValidationError, in_unit
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
 EXIT_OK = 0
@@ -132,7 +131,7 @@ def _parses(field: str, dtype) -> bool:
 
 
 def _first_bad_field(path, positions) -> str | None:
-    """The physical line and column of the first field _loadtxt rejects."""
+    """The physical line and column of the first field that does not parse or is out of range."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -144,9 +143,14 @@ def _first_bad_field(path, positions) -> str | None:
                     i = positions[name]
                     if i >= len(row):
                         return f"line {reader.line_num}: column {name}: missing field"
+                    if row[i] in ("0", "1"):  # valid in every column; skips most parses
+                        continue
+                    where = f"line {reader.line_num}: column {name}"
                     if not _parses(row[i], dtype):
-                        return (f"line {reader.line_num}: column {name}: "
-                                f"could not convert {row[i]!r} to {np.dtype(dtype)}")
+                        return f"{where}: could not convert {row[i]!r} to {np.dtype(dtype)}"
+                    if not in_unit(float(row[i])):  # an integer that parses: exactly 0 or 1
+                        rule = "be 0 or 1" if dtype is np.int64 else "lie in [0, 1]"
+                        return f"{where}: must {rule}, got {row[i]!r}"
         except csv.Error as e:
             return f"line {reader.line_num}: {e}"
     return None
@@ -173,25 +177,22 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
         table = _loadtxt(path, list(PREDICTION_COLUMNS),
                          [positions[name] for name, _ in PREDICTION_COLUMNS],
                          skiprows=header_lines)
+        if table.size == 0:
+            raise DataFormatError(f"{path}: no data rows")
+        # every field is 8 bytes, so one pass unzips the 32-byte records into a (4, n)
+        # block whose rows GroupedOutcomes keeps without copying
+        columns = np.empty((len(PREDICTION_COLUMNS), table.size), dtype=np.int64)
+        columns.T[...] = table.view(np.int64).reshape(table.size, len(PREDICTION_COLUMNS))
+        del table
+        return GroupedOutcomes(**{name: columns[i].view(dtype)
+                                  for i, (name, dtype) in enumerate(PREDICTION_COLUMNS)})
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text: {e}") from e
     except csv.Error as e:
         raise DataFormatError(f"{path}: line 1: {e}") from e
-    except ValueError as e:
-        # numpy's message names neither the physical line nor the column
+    except (ValueError, ValidationError) as e:
+        # neither numpy's message nor GroupedOutcomes' names the physical line and column
         raise DataFormatError(f"{path}: {_first_bad_field(path, positions) or e}") from e
-    if table.size == 0:
-        raise DataFormatError(f"{path}: no data rows")
-    # every field is 8 bytes, so one pass unzips the 32-byte records into a (4, n)
-    # block whose rows GroupedOutcomes keeps without copying
-    columns = np.empty((len(PREDICTION_COLUMNS), table.size), dtype=np.int64)
-    columns.T[...] = table.view(np.int64).reshape(table.size, len(PREDICTION_COLUMNS))
-    del table
-    try:
-        return GroupedOutcomes(**{name: columns[i].view(dtype)
-                                  for i, (name, dtype) in enumerate(PREDICTION_COLUMNS)})
-    except ValidationError as e:
-        raise DataFormatError(f"{path}: {e}") from e
 
 
 def cmd_audit(args) -> int:
@@ -245,18 +246,11 @@ def cmd_rank(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
     for index, mean in means.items():
-        if mean is None:
-            continue
-        if isinstance(mean, bool) or not isinstance(mean, (int, float)):
+        # json reads NaN, Infinity and integers beyond the float range; bool is not a number
+        if mean is not None and not (type(mean) in (int, float)
+                                     and abs(mean) <= sys.float_info.max):
             raise DataFormatError(f"{args.report}: dataset {index}: mean {mean!r} "
-                                  "is neither a number nor null")
-        try:
-            finite = math.isfinite(mean)  # json reads NaN and Infinity
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise DataFormatError(f"{args.report}: dataset {index}: mean {mean!r} "
-                                  "is not finite")
+                                  "is neither a finite number nor null")
 
     order, excluded = harness.rank_means(means, FAIR_POINTS[args.metric])
     print(f"{args.metric}: least to most biased: "

@@ -44,18 +44,21 @@ class ExperimentError(FairauditError):
 def require(owner, names: str, holds, rule: str) -> None:
     """Raise ValidationError(f"{name} must {rule}, got {value}") for the first of
     owner's space-separated fields whose value fails holds, the condition that must
-    hold (so NaN fails every comparison, and so does a value of a type the condition
-    raises TypeError on). load_config maps the leading field name of this one
-    message form to the config file's [section] key.
+    hold. NaN fails every comparison, and a rule whose test raises TypeError,
+    ValueError or OverflowError fails too ('5' > 0, an array's truth, 10**400 as a
+    float). A string value is quoted, so '3' does not read as the number 3.
+    load_config maps the leading field name of this one message form to the config
+    file's [section] key.
     """
     for name in names.split():
         value = getattr(owner, name)
         try:
-            held = holds(value)
-        except TypeError:  # e.g. '5' > 0, or math.isfinite(None)
+            held = bool(holds(value))
+        except (TypeError, ValueError, OverflowError):
             held = False
         if not held:
-            raise ValidationError(f"{name} must {rule}, got {value}")
+            shown = repr(value) if isinstance(value, str) else value
+            raise ValidationError(f"{name} must {rule}, got {shown}")
 
 
 def in_unit(value) -> bool:

@@ -67,8 +67,7 @@ class ExperimentConfig:
     min_cell_count: int = 10
 
     def __post_init__(self):
-        if self.experiment not in ("A", "B"):
-            raise ValidationError(f"experiment must be 'A' or 'B', got {self.experiment!r}")
+        require(self, "experiment", lambda v: v in ("A", "B"), "be 'A' or 'B'")
         for names, kind in (("population", PopulationSpec),
                             ("biased_label_policy unbiased_label_policy", LabelPolicy),
                             ("biased_sample_policy unbiased_sample_policy", SamplePolicy),

@@ -222,7 +222,7 @@ def fit(train: Population, params: ModelParams) -> Model:
         max_delta = 0.0
         for j, x_j in enumerate(columns):
             denom_j = wx2[j] + l2
-            if wx2[j] <= 0.0 or denom_j <= 0.0:
+            if wx2[j] <= 0.0:
                 continue  # constant column: coefficient stays 0
             rho = float(x_j @ wr) / n + wx2[j] * beta[j]
             new = _soft(rho, l1) / denom_j

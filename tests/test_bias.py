@@ -159,6 +159,11 @@ class TestBuildDataset:
         with pytest.raises(DegenerateDatasetError, match="group=1"):
             build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 10)
 
+    def test_sampling_that_keeps_nothing_raises(self, population):
+        keep_none = SamplePolicy(0.5, 0, 0, 0, 0)
+        with pytest.raises(DegenerateDatasetError, match="^sampling kept no records$"):
+            build_dataset(population, keep_none, UNBIASED_LABEL_POLICY, 1, 10)
+
     def test_min_cell_count_override(self):
         pop = cells((0, 0.2, 5), (0, 0.8, 5), (1, 0.2, 5), (1, 0.8, 5))
         out = build_dataset(pop, KEEP_ALL_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 5)

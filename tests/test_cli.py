@@ -519,6 +519,21 @@ class TestPredictionsReader:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert ": line 3: column " in capsys.readouterr().err
 
+    # a later row that does not parse does not hide the first bad field
+    @pytest.mark.parametrize("later", ["0,0,0.25,0\n", "x,0,0.5,1\n"])
+    @pytest.mark.parametrize("row, column", [
+        ("2,0,0.5,1", "group"), ("1,-1,0.5,1", "label"), ("1,0,0.5,3", "label_hat"),
+        ("1,0,1.5,1", "score_hat"), ("1,0,nan,1", "score_hat"),
+    ])
+    def test_out_of_range_value_names_line_and_column(self, tmp_path, capsys, row, column,
+                                                      later):
+        # line 4 counts the header and the blank line
+        path = _write(tmp_path, HEADER + "1,1,0.5,1\n\n" + row + "\n" + later)
+        out = tmp_path / "r.json"
+        assert main(["audit", "--input", str(path), "--out", str(out)]) == 3
+        assert f": line 4: column {column}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_error_scan_agrees_with_loadtxt(self):
         fields = ["1", " 1 ", "+1", "-0", "\t0\x0b", "1.0", "0_1", "\u0661", "", " ",
                   "1 1", "0x1", "9223372036854775807", "9223372036854775808",
@@ -533,6 +548,25 @@ class TestPredictionsReader:
                 except ValueError:
                     accepted = False
                 assert _parses(field, dtype) == accepted, (field, dtype)
+
+    def test_error_scan_agrees_with_reader(self, tmp_path):
+        # the scan names a field exactly where the reader, loadtxt then
+        # GroupedOutcomes, rejects the file
+        fields = ["0", "1", " 1 ", "+1", "-0", "01", '"1"', "\t0\x0b", "2", "-1", "0.5", "1.5",
+                  "-0.0", "1e0", "1e-400", "1e999", "nan", "-inf", "x", ""]
+        positions = {name: i for i, (name, _) in enumerate(PREDICTION_COLUMNS)}
+        for name, _ in PREDICTION_COLUMNS:
+            for field in fields:
+                row = {"group": "1", "label": "0", "score_hat": "0.5", "label_hat": "1",
+                       name: field}
+                path = _write(tmp_path, HEADER + ",".join(row[column] for column in positions)
+                              + "\n")
+                try:
+                    _read_predictions_csv(str(path))
+                    rejected = False
+                except errors.DataFormatError:
+                    rejected = True
+                assert (cli._first_bad_field(path, positions) is not None) == rejected, row
 
     @pytest.mark.filterwarnings("default")  # the reader alone must turn the warning into an error
     @pytest.mark.parametrize("body", ["1,0.7,0.5,1\n", "1,1.0,0.5,1\n", "1.9,0,0.5,1\n"])

@@ -15,6 +15,7 @@ from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY
                        rank_datasets, rank_means, run_experiment, run_trial,
                        stable_hash)
 from fairaudit import harness
+from fairaudit import model as model_module
 from fairaudit.bias import build_dataset
 from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
@@ -37,6 +38,18 @@ def small_config(**overrides):
 @pytest.fixture(scope="module")
 def small_report():
     return run_experiment(small_config())
+
+
+# round(fraction * n) == n below 1500 records: that leaves trial 0 of dataset 1
+# (1471 records) and trials 0 and 1 of dataset 3 (1487, 1491) without test rows;
+# every other trial has 1508 or more
+EMPTY_TEST_SET_CONFIG = small_config(trials=4,
+                                     model=ModelParams(lam=0.01, train_fraction=1 - 1 / 3000))
+
+
+@pytest.fixture(scope="module")
+def empty_test_set_report():
+    return run_experiment(EMPTY_TEST_SET_CONFIG)
 
 
 class TestStableHash:
@@ -128,14 +141,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{name} must .*, got .*$"):
             replace(self.VALID[cls], **{name: self.REJECTED[cls, name]})
 
-    # a value of a type its field's rule cannot compare fails that rule
+    # a value of a type its field's rule cannot compare fails that rule; a string is quoted
     WRONG_TYPE = {
-        "lam must be finite, got x": lambda: ModelParams(lam="x"),
-        "trials must be >= 1, got 3": lambda: ExperimentConfig(trials="3"),
+        "lam must be finite, got 'x'": lambda: ModelParams(lam="x"),
+        "trials must be >= 1, got '3'": lambda: ExperimentConfig(trials="3"),
         "threshold_group0 must lie in [0, 1], got None": lambda: LabelPolicy(None, 0.5),
         "alpha must lie in [0, 1], got (1+0j)": lambda: ModelParams(alpha=1 + 0j),
-        "n_group0 must be positive, got 5": lambda: PopulationSpec("5", 5, .5, .5),
-        "cutoff must lie in [0, 1], got a": lambda: SamplePolicy("a", .5, .5, .5, .5),
+        "n_group0 must be positive, got '5'": lambda: PopulationSpec("5", 5, .5, .5),
+        "cutoff must lie in [0, 1], got 'a'": lambda: SamplePolicy("a", .5, .5, .5, .5),
         "noise_scale must be positive and finite, got [1.0]":
             lambda: replace(DEFAULT_POPULATION, noise_scale=[1.0]),
     }
@@ -144,6 +157,30 @@ class TestConfig:
     def test_wrong_type_fails_the_fields_rule(self, message):
         with pytest.raises(ValidationError) as raised:
             self.WRONG_TYPE[message]()
+        assert str(raised.value) == message
+
+    # a value whose truth test or float conversion raises fails its field's rule
+    @pytest.mark.parametrize("message, make", [
+        pytest.param("threshold_group0 must lie in [0, 1], got [0.5 0.6]",
+                     lambda: LabelPolicy(np.array([0.5, 0.6]), 0.5), id="float array"),
+        pytest.param("trials must be >= 1, got [3 4]",
+                     lambda: ExperimentConfig(trials=np.array([3, 4])), id="int array"),
+        pytest.param("n_group0 must be positive, got [5 6]",
+                     lambda: PopulationSpec(np.array([5, 6]), 5, .5, .5), id="count array"),
+        pytest.param(f"lam must be finite, got {10 ** 400}",
+                     lambda: ModelParams(lam=10 ** 400), id="huge lam"),
+        pytest.param(f"noise_scale must be positive and finite, got {10 ** 400}",
+                     lambda: replace(DEFAULT_POPULATION, noise_scale=10 ** 400),
+                     id="huge noise_scale"),
+        pytest.param("experiment must be 'A' or 'B', got 'C'",
+                     lambda: ExperimentConfig(experiment="C"), id="experiment name"),
+        pytest.param("experiment must be 'A' or 'B', got ['A' 'B']",
+                     lambda: ExperimentConfig(experiment=np.array(["A", "B"])),
+                     id="experiment array"),
+    ])
+    def test_arrays_and_huge_integers_fail_the_fields_rule(self, message, make):
+        with pytest.raises(ValidationError) as raised:
+            make()
         assert str(raised.value) == message
 
     def test_integer_fields_take_numpy_integers_and_negative_base_seeds(self):
@@ -480,29 +517,57 @@ class TestRunExperiment:
         again = run_experiment(small_config())
         assert again.to_json() == small_report.to_json()
 
-    def test_trial_failures_tabulated(self):
-        # a tiny population makes some trials degenerate but not all
-        cfg = small_config(population=replace(SMALL_POP, n_group0=120, n_group1=120),
-                           trials=4, min_cell_count=10)
-        try:
-            report = run_experiment(cfg)
-        except ExperimentError:
-            return  # every trial of a cell failing is also acceptable here
-        total = sum(len(r.failures) for r in report.datasets.values())
-        json_failures = sum(len(d["failures"])
-                            for d in report.to_json_dict()["datasets"].values())
-        assert json_failures == total
+    def test_trial_failures_tabulated(self, empty_test_set_report, tmp_path):
+        report = empty_test_set_report
+        blob = report.to_json_dict()["datasets"]
+        for k, trials in {1: [0], 2: [], 3: [0, 1], 4: []}.items():
+            failures = blob[str(k)]["failures"]
+            assert [f["trial"] for f in failures] == trials
+            assert [f["seed"] for f in failures] == [
+                stable_hash(EMPTY_TEST_SET_CONFIG.base_seed, k, t) for t in trials]
+            assert [f["error"] for f in failures] == [t.error for t in report.datasets[k].failures]
+            for name in METRIC_NAMES:
+                listed = [t["trial"] for t in blob[str(k)]["metrics"][name]["trials"]]
+                assert listed == [t for t in range(4) if t not in trials]
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        failed = [row for row in rows if row[4] == "failed"]
+        assert len(rows) == 4 * 4 * len(METRIC_NAMES)
+        assert failed == [[str(k), name, str(t), "", "failed"]
+                          for k, t in ((1, 0), (3, 0), (3, 1)) for name in METRIC_NAMES]
 
-    def test_empty_test_set_fails_only_its_trial(self):
-        # round(fraction * n) == n below 1500 records: that leaves trial 0 of
-        # dataset 1 (1471 records) and trials 0 and 1 of dataset 3 (1487, 1491)
-        # without test rows; every other trial has 1508 or more
-        cfg = small_config(trials=4, model=ModelParams(lam=0.01, train_fraction=1 - 1 / 3000))
-        report = run_experiment(cfg)
+    def test_empty_test_set_fails_only_its_trial(self, empty_test_set_report):
+        report = empty_test_set_report
         failed = {k: [t.trial for t in r.failures] for k, r in report.datasets.items()}
         assert failed == {1: [0], 2: [], 3: [0, 1], 4: []}
         assert all("leaves the test set empty" in t.error
                    for r in report.datasets.values() for t in r.failures)
+
+    def test_numerical_failure_fails_only_its_trial(self, monkeypatch):
+        real_fit, real_objective = harness.fit, model_module._objective
+
+        def fit_first_with_nan_objective(train, params):
+            # only the first fit, dataset 1's trial 0, sees an objective that turns
+            # NaN after its first call
+            monkeypatch.setattr(harness, "fit", real_fit)
+            calls = []
+
+            def objective(*args):
+                calls.append(None)
+                return real_objective(*args) if len(calls) == 1 else math.nan
+
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_objective", objective)
+                return real_fit(train, params)
+
+        monkeypatch.setattr(harness, "fit", fit_first_with_nan_objective)
+        report = run_experiment(small_config(trials=2))
+        failures = report.to_json_dict()["datasets"]["1"]["failures"]
+        assert failures == [{"trial": 0, "seed": stable_hash(99, 1, 0),
+                             "error": "non-finite objective during optimization"}]
+        assert [len(r.failures) for r in report.datasets.values()] == [1, 0, 0, 0]
 
     def test_all_trials_failing_raises(self):
         cfg = small_config(population=replace(SMALL_POP, n_group0=40, n_group1=40),

@@ -13,7 +13,7 @@ from fairaudit import model as model_module
 from fairaudit.datagen import Population
 from fairaudit.harness import trial_dataset
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
-from fairaudit.errors import DegenerateDatasetError, ValidationError
+from fairaudit.errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 from conftest import make_population, same_population
 from oracles import _penalized_objective_oracle, fit_oracle, predict_oracle
 
@@ -206,6 +206,20 @@ class TestFit:
         m1 = fit(data, ModelParams(include_group_feature=False))
         m2 = fit(data, ModelParams(include_group_feature=True))
         assert len(m2.coefficients) == len(m1.coefficients) + 1
+
+    def test_non_finite_objective_raises(self, monkeypatch):
+        # after the starting point every objective is NaN, the fallback step's included
+        real_objective, calls = model_module._objective, []
+
+        def objective(*args):
+            calls.append(None)
+            return real_objective(*args) if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(model_module, "_objective", objective)
+        with pytest.raises(NumericalFailureError,
+                           match="^non-finite objective during optimization$"):
+            fit(balanced_labeled(100, 13), ModelParams(lam=0.01))
+        assert len(calls) == 3  # the start, then the Newton and the fallback step
 
     def test_empty_train_raises(self):
         with pytest.raises(ValidationError):

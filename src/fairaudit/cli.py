@@ -8,6 +8,7 @@ own exit code; an OSError (an unreadable or unwritable path) is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -118,6 +119,17 @@ def _loadtxt(source, dtype, usecols, skiprows=0):
                           skiprows=skiprows, usecols=usecols, ndmin=1, encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _any_field_length():
+    """Lift csv's 131,072-character field limit, so the csv.reader passes read any
+    field np.loadtxt reads; the limit is module state, restored on exit."""
+    limit = csv.field_size_limit(2**31 - 1)  # the most a C long holds on every platform
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _parses(field: str, dtype) -> bool:
     """Whether _loadtxt's converter for dtype accepts the field."""
     text = field.strip()
@@ -132,7 +144,7 @@ def _parses(field: str, dtype) -> bool:
 
 def _first_bad_field(path, positions) -> str | None:
     """The physical line and column of the first field that does not parse or is out of range."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, _any_field_length():
         reader = csv.reader(fh)
         try:
             next(reader)
@@ -163,7 +175,7 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
                               "decompress or rename it")
     try:
         # utf-8-sig: a spreadsheet's "CSV UTF-8" starts with a byte-order mark
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh, _any_field_length():
             reader = csv.reader(fh)
             header = next(reader, None)
             header_lines = reader.line_num

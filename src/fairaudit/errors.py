@@ -46,7 +46,8 @@ def require(owner, names: str, holds, rule: str) -> None:
     owner's space-separated fields whose value fails holds, the condition that must
     hold. NaN fails every comparison, and a rule whose test raises TypeError,
     ValueError or OverflowError fails too ('5' > 0, an array's truth, 10**400 as a
-    float). A string value is quoted, so '3' does not read as the number 3.
+    float). A string value is quoted, so '3' does not read as the number 3, and an
+    integer too long to print (10**5000) is shown by its size in bits.
     load_config maps the leading field name of this one message form to the config
     file's [section] key.
     """
@@ -57,7 +58,10 @@ def require(owner, names: str, holds, rule: str) -> None:
         except (TypeError, ValueError, OverflowError):
             held = False
         if not held:
-            shown = repr(value) if isinstance(value, str) else value
+            try:
+                shown = repr(value) if isinstance(value, str) else str(value)
+            except ValueError:  # an int past Python's limit on digits converted to text
+                shown = f"an integer of {value.bit_length()} bits"
             raise ValidationError(f"{name} must {rule}, got {shown}")
 
 

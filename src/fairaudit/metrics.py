@@ -68,12 +68,8 @@ class MetricValue:
 
 def cell_counts(data: GroupedOutcomes) -> np.ndarray:
     """Counts per (S, Y, Ŷ) cell, indexed [s, y, yhat]; every count-based metric reads it."""
-    # one int64 array built in place: 4 * S + 2 * Y + Ŷ
-    cells = data.group << 2
-    cells += data.label
-    cells += data.label
-    cells += data.label_hat
-    return np.bincount(cells, minlength=8).reshape(2, 2, 2)
+    return np.bincount(4 * data.group + 2 * data.label + data.label_hat,
+                       minlength=8).reshape(2, 2, 2)
 
 
 def _require_groups(counts: np.ndarray) -> None:

@@ -190,22 +190,17 @@ def fit(train: Population, params: ModelParams) -> Model:
     if X.shape[1] == 0:
         raise ValidationError("training set must have at least one feature")
     n, m = X.shape
-    # the design matrix's mean(axis=0) and std(axis=0), reduced the way numpy
-    # does. X2 holds the squared deviations, then the squared standardized features.
+    # the design matrix's mean(axis=0) and std(axis=0), reduced the way numpy does
     mu = _column_sums(X) / n
     X -= mu
-    X2 = X * X
-    sd = np.sqrt(_column_sums(X2) / n)
+    sd = np.sqrt(_column_sums(X * X) / n)
     sd = np.where(sd > 0.0, sd, 1.0)
     X /= sd
 
     lam, alpha = params.lam, params.alpha
     l1 = lam * alpha
     l2 = lam * (1.0 - alpha)
-    X2 = np.square(X, out=X2)
-    columns = [X[:, j] for j in range(m)]
-    # per-row work buffers: Newton weights, working residual, one column's update
-    w, wr, step = np.empty(n), np.empty(n), np.empty(n)
+    X2 = X * X
     # the global bound 1/4 as (curvature, its column terms, its total), as cd_pass takes them
     bound = (0.25, (0.25 * (_column_sums(X2) / n)).tolist(), 0.25 * n)
 
@@ -218,9 +213,9 @@ def fit(train: Population, params: ModelParams) -> Model:
         """
         beta = beta.tolist()
         # residual of the working response: curvature * (z - X beta - b) = y - p here
-        np.subtract(y, p, out=wr)
+        wr = y - p
         max_delta = 0.0
-        for j, x_j in enumerate(columns):
+        for j, x_j in enumerate(X.T):
             denom_j = wx2[j] + l2
             if wx2[j] <= 0.0:
                 continue  # constant column: coefficient stays 0
@@ -228,10 +223,7 @@ def fit(train: Population, params: ModelParams) -> Model:
             new = _soft(rho, l1) / denom_j
             d = new - beta[j]
             if d != 0.0:
-                # wr -= curvature * x_j * d
-                np.multiply(curvature, x_j, out=step)
-                np.multiply(step, d, out=step)
-                np.subtract(wr, step, out=wr)
+                wr -= curvature * x_j * d
                 beta[j] = new
                 max_delta = max(max_delta, abs(d))
         db = float(wr.sum()) / w_sum
@@ -249,10 +241,8 @@ def fit(train: Population, params: ModelParams) -> Model:
     iters = 0
     for iters in range(1, params.max_iters + 1):
         p = expit(eta)
-        # Newton weights w = clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
-        np.subtract(1.0, p, out=w)
-        np.multiply(p, w, out=w)
-        np.maximum(w, 1e-6, out=w)
+        # Newton weights clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
+        w = np.maximum(p * (1.0 - p), 1e-6)
         # try the Newton step; if the objective is non-finite or would rise, take the
         # majorizing bound's step, which cannot increase it
         for terms in ((w, (X2.T @ w / n).tolist(), float(w.sum())), bound):

@@ -379,6 +379,15 @@ class TestRank:
         assert "least to most biased" in out
         assert " < " in out
 
+    def test_rank_names_datasets_with_undefined_means(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        means = {"1": 0.25, "2": None, "3": -0.125, "4": None}
+        path.write_text(json.dumps({"datasets": {k: {"metrics": {"nmi": {"mean": v}}}
+                                                 for k, v in means.items()}}))
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 0
+        assert capsys.readouterr().out == ("nmi: least to most biased: 3 < 1\n"
+                                           "excluded (undefined mean): 2, 4\n")
+
     def test_rank_missing_report_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 2
@@ -593,6 +602,34 @@ class TestPredictionsReader:
         assert main(["audit", "--input", str(path),
                      "--out", str(tmp_path / "r.json")]) == 3
         assert ": line 3: column " in capsys.readouterr().err
+
+    # csv's default field limit is 131,072 characters; np.loadtxt reads longer fields
+    def test_long_field_does_not_hide_the_bad_line(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = _write(tmp_path, "note," + HEADER + "x" * 200_000 + ",1,1,0.5,1\nn,2,0,0.5,1\n")
+        assert main(["audit", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: column group: must be 0 or 1, got '2'\n")
+        assert csv.field_size_limit() == limit
+
+    def test_long_header_name_is_read(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = _write(tmp_path, "x" * 200_000 + "," + HEADER + "n,1,0,0.5,1\n")
+        data = _read_predictions_csv(str(path))
+        assert [getattr(data, name).tolist() for name, _ in PREDICTION_COLUMNS] == [
+            [1], [0], [0.5], [1]]
+        assert csv.field_size_limit() == limit
+
+    # Python 3.11 made csv read NUL bytes; before it, the csv.reader passes raise
+    @pytest.mark.skipif(sys.version_info >= (3, 11), reason="csv reads NUL bytes")
+    @pytest.mark.parametrize("text, line", [
+        (HEADER.replace(",", "\0,", 1) + "1,1,0.5,1\n", 1),
+        (HEADER + "1,1,0.5,1\n1,1,0.5\0,1\n", 3),
+    ])
+    def test_nul_byte_names_its_line(self, tmp_path, capsys, text, line):
+        path = _write(tmp_path, text)
+        assert main(["audit", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        assert f": line {line}: line contains NUL" in capsys.readouterr().err
 
     def test_compressed_extensions_match_numpy(self):
         assert sorted(COMPRESSED_EXTENSIONS) == sorted(

@@ -172,6 +172,8 @@ class TestConfig:
         pytest.param(f"noise_scale must be positive and finite, got {10 ** 400}",
                      lambda: replace(DEFAULT_POPULATION, noise_scale=10 ** 400),
                      id="huge noise_scale"),
+        pytest.param("lam must be finite, got an integer of 16610 bits",
+                     lambda: ModelParams(lam=10 ** 5000), id="lam too long to print"),
         pytest.param("experiment must be 'A' or 'B', got 'C'",
                      lambda: ExperimentConfig(experiment="C"), id="experiment name"),
         pytest.param("experiment must be 'A' or 'B', got ['A' 'B']",

@@ -187,6 +187,16 @@ class TestNMI:
         with pytest.raises(ValidationError, match="counts must be finite"):
             nmi_from_counts(counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ([1, 2, 3, 4], "counts must be a 2x2 table"),
+        (np.ones((2, 2, 2)), "counts must be a 2x2 table"),
+        ([[1, -1], [1, 1]], "counts must be nonnegative"),
+        ([[0, 0], [0, 0]], "counts must not all be zero"),
+    ])
+    def test_malformed_counts_rejected(self, counts, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            nmi_from_counts(counts)
+
 
 class TestAuditReport:
     def test_fixture_report(self, confusion_fixture):

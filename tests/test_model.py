@@ -138,6 +138,18 @@ class TestFit:
                                      params.lam, params.alpha)
         assert viol < 1e-4
 
+    def test_subgradient_violation_at_zero_coefficients(self):
+        # at beta = 0 a coefficient's condition is |g_j| <= lam * alpha, so the
+        # violation is the larger of |g_b| and each excess |g_j| - lam * alpha
+        X = np.array([[1.0, 0.0], [-1.0, 0.5], [0.5, -0.5], [-0.5, 0.0]])
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        g_beta, g_b = smooth_gradient(X, y, np.zeros(2), 0.25, 0.4, 0.5)
+        assert abs(g_beta[0]) - 0.2 > abs(g_b) and abs(g_beta[1]) < 0.2  # one excess, one inside
+        want = abs(g_beta[0]) - 0.2
+        assert subgradient_violation(X, y, np.zeros(2), 0.25, 0.4, 0.5) == want
+        # a wider band leaves only the intercept's condition
+        assert subgradient_violation(X, y, np.zeros(2), 0.25, 2.0, 0.5) == abs(g_b)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(50, 4))
@@ -226,6 +238,13 @@ class TestFit:
             fit(make_population([], [], np.empty((0, 3)), []), ModelParams())
         with pytest.raises(ValidationError, match="labeled"):
             fit(make_population([0, 1], [0.5, 0.5]), ModelParams())
+
+    def test_no_feature_columns_raises(self):
+        data = make_population([0, 1, 0, 1], [0.5] * 4, np.empty((4, 0)), [0, 1, 1, 0])
+        with pytest.raises(ValidationError, match="^training set must have at least one feature$"):
+            fit(data, ModelParams())
+        # the group column alone is a feature
+        assert fit(data, ModelParams(include_group_feature=True)).coefficients.shape == (1,)
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
@@ -435,8 +454,8 @@ class TestWorkingMemory:
         params = ModelParams(lam=0.01, include_group_feature=True)
         model = fit(train, params)
         matrix_bytes = [8 * len(rows) * 6 for rows in (train, test)]
-        # Standardizing the design matrix in place peaks at 3.5 (fit: X, X2 and
-        # the per-row buffers) and 1.35 (predict) matrices; a centered copy
-        # beside it adds one matrix to each.
-        assert traced_peak(lambda: fit(train, params)) < 4.0 * matrix_bytes[0]
+        # Standardizing the design matrix in place peaks at 3.17 (fit: X, X2 and
+        # the row-length vectors of one iteration) and 1.35 (predict) matrices; a
+        # centered copy beside it adds one matrix to each.
+        assert traced_peak(lambda: fit(train, params)) < 3.5 * matrix_bytes[0]
         assert traced_peak(lambda: predict(model, test)) < 1.85 * matrix_bytes[1]

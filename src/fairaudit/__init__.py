@@ -13,7 +13,6 @@ from .harness import (ALL_BIAS_SPECS, BiasSpec, ExperimentConfig, ExperimentRepo
                       run_experiment, run_trial, stable_hash)
 from .metrics import (FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport,
                       MetricValue, audit, entropy)
-from .model import (Model, ModelParams, Predictions, fit, predict, split,
-                    subgradient_violation)
+from .model import Model, ModelParams, fit, predict, split, subgradient_violation
 
 __version__ = "0.1.0"

@@ -73,3 +73,8 @@ def in_unit(value) -> bool:
 def is_int(value) -> bool:
     """Whether value is an integer, a numpy one included, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

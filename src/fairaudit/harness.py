@@ -23,7 +23,7 @@ from .datagen import (Population, PopulationSpec, generate_population,
 from .errors import (DegenerateDatasetError, ExperimentError,
                      NumericalFailureError, ValidationError, is_int, require)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
-from .model import ModelParams, fit, predict, split
+from .model import Model, ModelParams, fit, predict, split
 
 
 def stable_hash(*parts) -> int:
@@ -194,15 +194,21 @@ def trial_dataset(config: ExperimentConfig, bias_spec: BiasSpec, seed: int,
     return build_dataset(base, sample, label, seed, config.min_cell_count)
 
 
-def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
-              base: Population) -> MetricReport:
-    """One pipeline pass on build_base(config): build -> split -> fit -> predict -> audit."""
+def trial_outcomes(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
+                   base: Population) -> tuple[Model, Population, GroupedOutcomes]:
+    """One trial on build_base(config) up to its audit, build -> split -> fit ->
+    predict: returns the fitted model, the test set and the test set's outcomes."""
     # the sampled dataset is not named, so it is freed once split has copied it
     train, test = split(trial_dataset(config, bias_spec, stable_hash(trial_seed, "sample"), base),
                         config.model.train_fraction, stable_hash(trial_seed, "split"))
     model = fit(train, config.model)
-    preds = predict(model, test)
-    return audit(GroupedOutcomes(test.group, test.label, preds.score_hat, preds.label_hat))
+    return model, test, GroupedOutcomes(test.group, test.label, *predict(model, test))
+
+
+def run_trial(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: int,
+              base: Population) -> MetricReport:
+    """The audit of one trial's outcomes (trial_outcomes)."""
+    return audit(trial_outcomes(config, bias_spec, trial_seed, base)[2])
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datagen import Population
 from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, in_unit,
-                     is_int, require)
+                     is_int, is_real, require)
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ModelParams:
         require(self, "train_fraction", lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
         require(self, "prediction_threshold", in_unit, "lie in [0, 1]")
         require(self, "max_iters", is_int, "be an integer")
+        require(self, "lam alpha tolerance train_fraction prediction_threshold", is_real,
+                "be a real number")
         require(self, "include_group_feature", lambda v: isinstance(v, bool), "be a bool")
 
 
@@ -53,12 +55,6 @@ class Model:
     converged: bool
     n_iters: int = 0
     objective_history: list = field(default_factory=list, repr=False)
-
-
-@dataclass
-class Predictions:
-    score_hat: np.ndarray  # sigmoid scores in [0, 1]
-    label_hat: np.ndarray  # 1 iff score_hat >= params.prediction_threshold
 
 
 def split(data: Population, train_fraction: float,
@@ -77,11 +73,10 @@ def split(data: Population, train_fraction: float,
     # stratum key 2 * group + label orders cells as sorted (group, label) pairs
     cell = 2 * data.group + data.label
     sizes = np.bincount(cell, minlength=4).tolist()
-    keys = [k for k in range(4) if sizes[k]]
-    for k in keys:
-        if sizes[k] < 2:
+    for k, size in enumerate(sizes):
+        if size == 1:
             raise DegenerateDatasetError(
-                f"cell (group={k // 2}, label={k % 2}) has {sizes[k]} records, "
+                f"cell (group={k // 2}, label={k % 2}) has {size} records, "
                 "need at least 2 to stratify")
 
     total_train = int(round(train_fraction * len(data)))
@@ -90,17 +85,18 @@ def split(data: Population, train_fraction: float,
             raise DegenerateDatasetError(
                 f"train_fraction {train_fraction} of {len(data)} records leaves "
                 f"the {side} set empty")
-    ideal = [train_fraction * sizes[k] for k in keys]
+    ideal = [train_fraction * size for size in sizes]
     take = [math.floor(x) for x in ideal]
     extras = total_train - sum(take)
-    # hand extras to the largest fractional remainders, ties by cell key order
-    order = sorted(range(len(keys)), key=lambda i: (-(ideal[i] - take[i]), i))
-    for i in order[:extras]:
-        take[i] += 1
+    # hand extras to the largest fractional remainders (an empty cell's is 0), ties by key
+    order = sorted(range(4), key=lambda k: (-(ideal[k] - take[k]), k))
+    for k in order[:extras]:
+        take[k] += 1
 
     rng = np.random.default_rng(seed)
     train = np.zeros(len(data), dtype=bool)
-    for k, t in zip(keys, take):
+    # an empty cell's rng.permutation(0) leaves the generator as it was
+    for k, t in enumerate(take):
         idx = np.flatnonzero(cell == k)
         train[idx[rng.permutation(idx.size)[:t]]] = True
     return data.take(train), data.take(~train)
@@ -264,9 +260,10 @@ def fit(train: Population, params: ModelParams) -> Model:
                  n_iters=iters, objective_history=history)
 
 
-def predict(model: Model, records: Population) -> Predictions:
-    """Score records with the fitted model and threshold into labels (ties map to 1).
-    records is never written to: predict standardizes its own copy of the features."""
+def predict(model: Model, records: Population) -> tuple[np.ndarray, np.ndarray]:
+    """(score_hat, label_hat): the records' scores in [0, 1] under the fitted model, and
+    1 where a score is >= its prediction_threshold (ties map to 1), else 0. records is
+    never written to: predict standardizes its own copy of the features."""
     from scipy.special import expit
 
     X = _design_matrix(records, model.params.include_group_feature)
@@ -277,5 +274,4 @@ def predict(model: Model, records: Population) -> Predictions:
     X -= model.feature_means
     X /= model.feature_scales
     score = expit(X @ model.coefficients + model.intercept)
-    return Predictions(score_hat=score,
-                       label_hat=(score >= model.params.prediction_threshold).astype(int))
+    return score, (score >= model.params.prediction_threshold).astype(int)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from fairaudit.errors import NumericalFailureError, ValidationError
-from fairaudit.model import Model, Predictions
+from fairaudit.model import Model
 
 
 def _rows(data):
@@ -388,10 +388,9 @@ def fit_oracle(train, params):
 
 
 def predict_oracle(model, records):
-    """model.predict by the broadcast formula: the scores and labels predict must
+    """model.predict by the broadcast formula: the (scores, labels) pair predict must
     reproduce bit for bit."""
     X_raw = _design_matrix_oracle(records, model.params.include_group_feature)
     X = (X_raw - model.feature_means) / model.feature_scales
     score = expit(X @ model.coefficients + model.intercept)
-    return Predictions(score_hat=score,
-                       label_hat=(score >= model.params.prediction_threshold).astype(int))
+    return score, (score >= model.params.prediction_threshold).astype(int)

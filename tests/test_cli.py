@@ -427,6 +427,20 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: {error.__name__} raised\n"
 
 
+def test_entry_exits_with_mains_code(monkeypatch, tmp_path, capsys):
+    predictions = tmp_path / "p.csv"
+    predictions.write_text(FIXTURE_CSV_HEADER + "".join(fixture_rows()))
+    codes = []
+    for args in (["audit", "--input", str(predictions), "--out", str(tmp_path / "r.json")],
+                 ["rank", "--report", str(tmp_path / "missing.json"), "--metric", "nmi"]):
+        codes.append(main(args))
+        monkeypatch.setattr(sys, "argv", ["fairaudit", *args])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == codes[-1], args
+    assert codes == [0, 2]
+
+
 def run_fresh_python(code):
     """Standard output of code run by a new interpreter that imports this fairaudit."""
     src = str(Path(fairaudit.__file__).resolve().parents[1])

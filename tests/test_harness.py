@@ -11,13 +11,14 @@ import pytest
 from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
                        ExperimentConfig, ExperimentReport, LabelPolicy, ModelParams,
-                       PopulationSpec, SamplePolicy, bundled_config_path, load_config,
-                       rank_datasets, rank_means, run_experiment, run_trial,
+                       PopulationSpec, SamplePolicy, audit, bundled_config_path, load_config,
+                       predict, rank_datasets, rank_means, run_experiment, run_trial,
                        stable_hash)
 from fairaudit import harness
 from fairaudit import model as model_module
 from fairaudit.bias import build_dataset
-from fairaudit.harness import _CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset
+from fairaudit.harness import (_CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset,
+                               trial_outcomes)
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
 from fairaudit.errors import ExperimentError, ValidationError
 from conftest import same_population
@@ -158,6 +159,46 @@ class TestConfig:
         with pytest.raises(ValidationError) as raised:
             self.WRONG_TYPE[message]()
         assert str(raised.value) == message
+
+    # a bool in each float field, the value it rejects as the integer fields do; the
+    # three open-interval fields reject both bools by their range rule already
+    REAL = "be a real number"
+    OPEN = "lie strictly inside (0, 1)"
+    BOOLS = {
+        (LabelPolicy, "threshold_group0"): (True, REAL),
+        (LabelPolicy, "threshold_group1"): (False, REAL),
+        (SamplePolicy, "cutoff"): (True, REAL),
+        (SamplePolicy, "p_group0_high"): (False, REAL),
+        (SamplePolicy, "p_group0_low"): (True, REAL),
+        (SamplePolicy, "p_group1_high"): (False, REAL),
+        (SamplePolicy, "p_group1_low"): (True, REAL),
+        (ModelParams, "lam"): (False, REAL),
+        (ModelParams, "alpha"): (True, REAL),
+        (ModelParams, "tolerance"): (True, REAL),
+        (ModelParams, "train_fraction"): (True, OPEN),
+        (ModelParams, "prediction_threshold"): (False, REAL),
+        (PopulationSpec, "target_positive_rate_group0"): (True, OPEN),
+        (PopulationSpec, "target_positive_rate_group1"): (False, OPEN),
+        (PopulationSpec, "proxy_strength"): (True, REAL),
+        (PopulationSpec, "noise_scale"): (True, REAL),
+        (PopulationSpec, "score_concentration"): (True, REAL),
+    }
+
+    def test_every_float_field_has_a_bool_row(self):
+        assert set(self.BOOLS) == {(cls, f.name) for cls in self.VALID for f in fields(cls)
+                                   if f.type == "float"}
+
+    @pytest.mark.parametrize("cls,name", BOOLS, ids=lambda v: getattr(v, "__name__", v))
+    def test_float_fields_reject_bools(self, cls, name):
+        value, rule = self.BOOLS[cls, name]
+        with pytest.raises(ValidationError) as raised:
+            replace(self.VALID[cls], **{name: value})
+        assert str(raised.value) == f"{name} must {rule}, got {value}"
+
+    def test_float_fields_take_numpy_floats_and_ints(self):
+        policy = LabelPolicy(np.float32(0.25), np.int64(1))
+        params = ModelParams(lam=np.float64(0.1), alpha=0, tolerance=np.float16(1e-3))
+        assert (policy.threshold_group1, params.alpha) == (1, 0)
 
     # a value whose truth test or float conversion raises fails its field's rule
     @pytest.mark.parametrize("message, make", [
@@ -454,6 +495,22 @@ class TestRunTrial:
         r1 = run_trial(cfg, spec, trial_seed=5, base=base)
         r2 = run_trial(cfg, spec, trial_seed=6, base=base)
         assert r1.to_json_dict() != r2.to_json_dict()
+
+    def test_trial_outcomes_are_its_test_sets_predictions(self):
+        cfg = small_config()
+        model, test, outcomes = trial_outcomes(cfg, BiasSpec(True, False), 5, build_base(cfg))
+        assert np.array_equal(outcomes.group, test.group)
+        assert np.array_equal(outcomes.label, test.label)
+        score_hat, label_hat = predict(model, test)
+        assert outcomes.score_hat.tobytes() == score_hat.tobytes()
+        assert np.array_equal(outcomes.label_hat, label_hat)
+
+    def test_run_trial_audits_trial_outcomes(self):
+        cfg = small_config()
+        base = build_base(cfg)
+        _, _, outcomes = trial_outcomes(cfg, BiasSpec(False, True), 5, base)
+        assert audit(outcomes).to_json_dict() == \
+            run_trial(cfg, BiasSpec(False, True), trial_seed=5, base=base).to_json_dict()
 
     def test_sampled_dataset_is_freed_before_fit(self, monkeypatch):
         cfg = small_config()

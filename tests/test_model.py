@@ -110,8 +110,8 @@ class TestFit:
         data = make_labeled(300, 10, rule=rule)
         data = data.take(np.abs(data.features[:, 0] + 0.5 * data.features[:, 1]) > 0.2)
         model = fit(data, ModelParams(lam=1e-4, alpha=0.5))
-        preds = predict(model, data)
-        assert np.array_equal(preds.label_hat, data.label)
+        _, label_hat = predict(model, data)
+        assert np.array_equal(label_hat, data.label)
 
     def test_huge_lambda_zeroes_coefficients(self):
         data = balanced_labeled(300, 11)
@@ -202,9 +202,9 @@ class TestFit:
         data = balanced_labeled(200, 16)
         scaled = replace(data, features=3.0 * data.features + 7.0)
         params = ModelParams(lam=0.01, alpha=0.5, tolerance=1e-10)
-        p1 = predict(fit(data, params), data)
-        p2 = predict(fit(scaled, params), scaled)
-        assert np.allclose(p1.score_hat, p2.score_hat, atol=1e-8)
+        score1, _ = predict(fit(data, params), data)
+        score2, _ = predict(fit(scaled, params), scaled)
+        assert np.allclose(score1, score2, atol=1e-8)
 
     def test_constant_feature_gets_zero_coefficient(self):
         data = balanced_labeled(150, 17)
@@ -273,30 +273,30 @@ class TestPredict:
         data = balanced_labeled(20, 20)
         model = fit(data, ModelParams(lam=1e6, alpha=1.0))
         model.intercept = 0.0
-        preds = predict(model, data)
-        assert np.allclose(preds.score_hat, 0.5)
-        assert np.all(preds.label_hat == 1)  # ties go to 1
+        score_hat, label_hat = predict(model, data)
+        assert np.allclose(score_hat, 0.5)
+        assert np.all(label_hat == 1)  # ties go to 1
 
     def test_threshold_zero_labels_all_one(self):
         data = balanced_labeled(50, 21)
         model = fit(data, ModelParams(lam=0.01))
         model = replace(model, params=replace(model.params, prediction_threshold=0.0))
-        preds = predict(model, data)
-        assert np.all(preds.label_hat == 1)
+        _, label_hat = predict(model, data)
+        assert np.all(label_hat == 1)
 
     def test_threshold_monotone(self):
         data = balanced_labeled(80, 22)
         model = fit(data, ModelParams(lam=0.01))
-        lo = predict(replace(model, params=replace(model.params, prediction_threshold=0.3)),
-                     data).label_hat
-        hi = predict(replace(model, params=replace(model.params, prediction_threshold=0.7)),
-                     data).label_hat
+        _, lo = predict(replace(model, params=replace(model.params, prediction_threshold=0.3)),
+                        data)
+        _, hi = predict(replace(model, params=replace(model.params, prediction_threshold=0.7)),
+                        data)
         assert np.all(hi <= lo)
 
     def test_scores_in_unit_interval(self):
         data = balanced_labeled(80, 23)
-        preds = predict(fit(data, ModelParams(lam=0.01)), data)
-        assert np.all((preds.score_hat >= 0) & (preds.score_hat <= 1))
+        score_hat, _ = predict(fit(data, ModelParams(lam=0.01)), data)
+        assert np.all((score_hat >= 0) & (score_hat <= 1))
 
     def test_dimension_mismatch(self):
         data = balanced_labeled(60, 24, d=3)
@@ -309,8 +309,7 @@ class TestPredict:
         data = balanced_labeled(60, 25)
         model = fit(data, ModelParams(lam=0.01))
         bare = replace(data, label=None)
-        assert np.allclose(predict(model, bare).score_hat,
-                           predict(model, data).score_hat)
+        assert np.allclose(predict(model, bare)[0], predict(model, data)[0])
 
 
 def with_features(data, features):
@@ -361,9 +360,10 @@ class TestKernelMatchesOracle:
         assert got.n_iters == want.n_iters and got.converged == want.converged
         assert [v.hex() for v in got.objective_history] == \
             [v.hex() for v in want.objective_history]
-        got_p, want_p = predict(got, test), predict_oracle(got, test)
-        assert got_p.score_hat.tobytes() == want_p.score_hat.tobytes()
-        assert np.array_equal(got_p.label_hat, want_p.label_hat)
+        got_score, got_label = predict(got, test)
+        want_score, want_label = predict_oracle(got, test)
+        assert got_score.tobytes() == want_score.tobytes()
+        assert np.array_equal(got_label, want_label)
         # fit and predict may overwrite only the matrices they build themselves
         assert all(np.array_equal(a, b.features) for a, b in zip(inputs, (train, test)))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from fairaudit import (ALL_BIAS_SPECS, UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY,
-                       GroupedOutcomes, audit, build_dataset, fit, predict, run_trial)
+                       audit, build_dataset, run_trial)
 from fairaudit.harness import build_base, stable_hash
 from fairaudit.metrics import METRICS
 from conftest import same_population
@@ -55,19 +55,16 @@ def test_population_snippet_runs():
 
 
 def test_trial_recipe_rebuilds_the_trial():
-    namespace = run_snippet("trial_dataset(")
+    namespace = run_snippet("trial_outcomes(")
     config, k, t = namespace["config"], namespace["k"], namespace["t"]
-    train, test = namespace["train"], namespace["test"]
-    preds = predict(fit(train, config.model), test)
-    rebuilt = audit(GroupedOutcomes(test.group, test.label, preds.score_hat, preds.label_hat))
     spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
     expected = run_trial(config, spec, stable_hash(config.base_seed, k, t),
                          base=build_base(config))
-    assert rebuilt.to_json_dict() == expected.to_json_dict()
+    assert audit(namespace["outcomes"]).to_json_dict() == expected.to_json_dict()
 
 
 def test_bias_strength_snippet_sweeps_the_label_gap():
-    namespace = run_snippet("trial_dataset(", "LabelPolicy(0.5 - gap")
+    namespace = run_snippet("trial_outcomes(", "LabelPolicy(0.5 - gap")
     base, by_gap = namespace["base"], namespace["by_gap"]
     assert list(by_gap) == [0.0, 0.1, 0.2]
     unbiased = build_dataset(base, UNBIASED_SAMPLE_POLICY, UNBIASED_LABEL_POLICY, 1, 10)

@@ -12,7 +12,7 @@ from .harness import (ALL_BIAS_SPECS, BiasSpec, ExperimentConfig, ExperimentRepo
                       bundled_config_path, load_config, rank_datasets, rank_means,
                       run_experiment, run_trial, stable_hash)
 from .metrics import (FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport,
-                      MetricValue, audit, entropy)
+                      MetricValue, audit)
 from .model import Model, ModelParams, fit, predict, split, subgradient_violation
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySelectionError, ValidationError, in_unit, is_int, is_real, require
+from .errors import DegenerateDatasetError, ValidationError, in_unit, is_int, is_real, require
 
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
@@ -310,7 +310,7 @@ def make_base_dataset_A(pop: Population, seed: int) -> Population:
     """
     whites = pop.take(pop.group == 0)
     if not whites:
-        raise EmptySelectionError("population contains no group-0 records")
+        raise DegenerateDatasetError("population contains no group-0 records")
     rng = np.random.default_rng(seed)
     return replace(whites, group=rng.integers(0, 2, size=len(whites)))
 

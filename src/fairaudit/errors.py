@@ -16,12 +16,8 @@ class ValidationError(FairauditError):
     exit_code = 2
 
 
-class EmptySelectionError(FairauditError):
-    """A selection step produced no records."""
-
-
 class DegenerateDatasetError(FairauditError):
-    """A (group, label) cell is too small for downstream use."""
+    """A dataset is empty, or a (group, label) cell is too small for downstream use."""
 
 
 class UndefinedMetricError(FairauditError):

@@ -1,8 +1,8 @@
 """Experiment orchestration: the 2x2 bias grid, seeded trials, and aggregation.
 
 Seed scheme: every stream is derived from the config's base seed with
-stable_hash, a SHA-256 based mix of (base_seed, *labels). Trial seeds use
-stable_hash(base_seed, dataset_index, trial_index), so dataset cells and
+stable_hash, a SHA-256 based mix of (base_seed, *labels). Trial t of dataset k
+(ALL_BIAS_SPECS[k - 1]) uses stable_hash(base_seed, k, t), so dataset cells and
 trials are reproducible independently of execution order.
 """
 
@@ -35,14 +35,10 @@ def stable_hash(*parts) -> int:
 
 @dataclass(frozen=True)
 class BiasSpec:
-    """Which cell of the 2x2 bias grid to materialize; ALL_BIAS_SPECS's order numbers them."""
+    """Which cell of the 2x2 bias grid to materialize; dataset k is ALL_BIAS_SPECS[k - 1]."""
 
     sample_bias: bool
     label_bias: bool
-
-    @property
-    def dataset_index(self) -> int:
-        return ALL_BIAS_SPECS.index(self) + 1
 
 
 ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
@@ -79,16 +75,22 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The config under its config-file keys: [experiment] at the top level by
-        field name, every other section under its name with "." -> "_"."""
+        field name, every other section under its name with "." -> "_". A numpy
+        scalar field is given as its Python number, so the dict can be written as JSON."""
         out = {}
         for section, (target, keys) in _CONFIG_NAMES.items():
             if target:
                 part = getattr(self, target)
-                out[section.replace(".", "_")] = {key: getattr(part, name)
+                out[section.replace(".", "_")] = {key: _plain(getattr(part, name))
                                                   for key, name in keys.items()}
             else:
-                out.update({name: getattr(self, name) for name in keys.values()})
+                out.update({name: _plain(getattr(self, name)) for name in keys.values()})
         return out
+
+
+def _plain(value):
+    """value, or its Python number if it is a numpy scalar."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 _LABEL_POLICY_KEYS = {k: k for k in ("threshold_group0", "threshold_group1")}
@@ -295,8 +297,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run trials x 4 bias-grid datasets and aggregate per metric."""
     base = build_base(config)
     report = ExperimentReport(config=config.to_dict())
-    for bias_spec in ALL_BIAS_SPECS:
-        index = bias_spec.dataset_index
+    for index, bias_spec in enumerate(ALL_BIAS_SPECS, 1):
         trials = []
         for t in range(config.trials):
             seed = stable_hash(config.base_seed, index, t)

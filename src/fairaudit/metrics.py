@@ -119,25 +119,13 @@ def _disparate_impact(counts: np.ndarray) -> MetricValue:
     return MetricValue(float(r1 / r0))
 
 
-def entropy(dist) -> float:
-    """Shannon entropy with natural log; 0 * log 0 := 0."""
-    p = np.asarray(dist, dtype=float)
-    if not np.isfinite(p).all():
-        raise ValidationError("probabilities must be finite")
-    if (p < 0).any():
-        raise ValidationError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"probabilities must sum to 1, got {p.sum()}")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def nmi_from_counts(counts) -> float:
-    """NMI of a 2x2 count table indexed [yhat, s]; 0 when either marginal entropy vanishes."""
+    """NMI of a 2x2 count table indexed [yhat, s]; 0 when Ŷ or S takes one value."""
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (2, 2):
         raise ValidationError("counts must be a 2x2 table")
-    if not np.isfinite(counts).all():
+    # the total too: four finite counts can sum past the float range
+    if not (np.isfinite(counts).all() and counts.sum() < np.inf):
         raise ValidationError("counts must be finite")
     if (counts < 0).any():
         raise ValidationError("counts must be nonnegative")
@@ -145,7 +133,7 @@ def nmi_from_counts(counts) -> float:
         raise ValidationError("counts must not all be zero")
     p = counts / counts.sum()
     py, ps = p.sum(axis=1), p.sum(axis=0)
-    hy, hs = entropy(py), entropy(ps)
+    hy, hs = (-(q[q > 0] * np.log(q[q > 0])).sum() for q in (py, ps))
     if hy == 0.0 or hs == 0.0:
         return 0.0
     mi = 0.0

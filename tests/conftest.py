@@ -3,7 +3,7 @@ import pytest
 
 from fairaudit import GroupedOutcomes, Population, SamplePolicy
 from fairaudit.cli import PREDICTION_COLUMNS
-from fairaudit.errors import EmptySelectionError
+from fairaudit.errors import DegenerateDatasetError
 
 # keeps every record: sampling becomes the identity, for exact unit tests
 KEEP_ALL_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=1.0, p_group0_low=1.0,
@@ -22,7 +22,7 @@ def positive_rate(pop, group, threshold=0.5):
     """Fraction of a group's records with score >= threshold."""
     scores = pop.score[pop.group == group]
     if not scores.size:
-        raise EmptySelectionError(f"no records in group {group}")
+        raise DegenerateDatasetError(f"no records in group {group}")
     return int(np.count_nonzero(scores >= threshold)) / scores.size
 
 

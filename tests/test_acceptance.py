@@ -15,8 +15,7 @@ from fairaudit import (BIASED_SAMPLE_POLICY, GroupedOutcomes, ModelParams,
                        apply_sample_policy, audit,
                        bundled_config_path, fit, load_config, run_experiment)
 from fairaudit.cli import main
-from fairaudit.metrics import (FAIR_POINTS, METRIC_NAMES, cell_counts, entropy,
-                               nmi_from_counts)
+from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES, cell_counts, nmi_from_counts
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from oracles import ORACLES
 from conftest import build_outcomes, make_population, random_outcomes

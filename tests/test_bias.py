@@ -176,7 +176,8 @@ class TestBuildDataset:
 
 class TestReferencePipeline:
     @pytest.mark.parametrize("base", ["A", "B"])
-    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
+    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS,
+                             ids=["dataset1", "dataset2", "dataset3", "dataset4"])
     def test_build_and_split_match_row_loop(self, spec, base):
         pop = generate_population(PopulationSpec(
             n_group0=700, n_group1=300, target_positive_rate_group0=0.5408,

@@ -132,7 +132,7 @@ class TestBuild:
         n1 = sum(1 for r in rows if r["group"] == "1")
         assert n1 == 1500 and n0 < 1500
 
-    def test_invalid_dataset_index_exits_2(self, config_file, tmp_path):
+    def test_dataset_out_of_range_exits_2(self, config_file, tmp_path):
         assert main(["build", "--config", config_file, "--dataset", "5",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -143,7 +143,7 @@ class TestBuild:
         assert main(["build", "--config", config_file, "--dataset", str(k),
                      "--out", str(out)]) == 0
         config = load_config(config_file)
-        spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
+        spec = ALL_BIAS_SPECS[k - 1]
         write_population_csv_oracle(
             trial_dataset(config, spec, stable_hash(config.base_seed, k, "build"),
                           build_base(config)), expected)
@@ -415,9 +415,9 @@ class TestRank:
 def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
     # README: 2 config or usage error, 3 data error, 4 numerical failure
     codes = {errors.ValidationError: 2, errors.NumericalFailureError: 4,
-             errors.EmptySelectionError: 3, errors.DegenerateDatasetError: 3,
-             errors.UndefinedMetricError: 3, errors.DataFormatError: 3,
-             errors.ExperimentError: 3, errors.FairauditError: 3, OSError: 2}
+             errors.DegenerateDatasetError: 3, errors.UndefinedMetricError: 3,
+             errors.DataFormatError: 3, errors.ExperimentError: 3,
+             errors.FairauditError: 3, OSError: 2}
     assert set(errors.FairauditError.__subclasses__()) < set(codes)
     for error, code in codes.items():
         def fail(args, error=error):

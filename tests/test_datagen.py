@@ -11,7 +11,7 @@ from fairaudit import (Population, PopulationSpec, generate_population,
 from fairaudit import datagen
 from fairaudit.bias import write_labeled_csv
 from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, _group_scores
-from fairaudit.errors import EmptySelectionError, ValidationError
+from fairaudit.errors import DegenerateDatasetError, ValidationError
 from fairaudit.harness import bundled_config_path, load_config
 from conftest import make_population, positive_rate, same_population
 from oracles import (beta_shape_oracle, binary_exact_oracle, generate_population_exact_oracle,
@@ -395,7 +395,8 @@ class TestBaseDatasetA:
 
     def test_no_group0_errors(self):
         pop = make_population([1], [0.5])
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(DegenerateDatasetError,
+                           match="^population contains no group-0 records$"):
             make_base_dataset_A(pop, seed=1)
 
     def test_determinism(self):

@@ -455,11 +455,32 @@ class TestConfigSchema:
             parser.write(fh)
         assert load_config(path) == config
 
+    def test_numpy_fields_write_the_json_of_python_numbers(self):
+        # is_int and is_real accept numpy numbers; the report's config block must
+        # still be plain JSON, byte-equal to the same config given Python numbers
+        def config(i64, i32, f32, f64):
+            return ExperimentConfig(
+                population=replace(DEFAULT_POPULATION, n_group0=i32(1000), feature_dim=i64(3),
+                                   noise_scale=f32(2.5), proxy_strength=f64(0.6)),
+                biased_label_policy=LabelPolicy(f32(0.25), f64(0.75)),
+                biased_sample_policy=replace(BIASED_SAMPLE_POLICY, p_group0_high=f32(0.75)),
+                model=ModelParams(lam=f64(0.02), max_iters=i32(50), train_fraction=f32(0.625)),
+                trials=i64(2), base_seed=i64(5), min_cell_count=i32(4))
+
+        plain = ExperimentReport(config=config(int, int, float, float).to_dict()).to_json()
+        numpy = ExperimentReport(config=config(np.int64, np.int32, np.float32,
+                                               np.float64).to_dict()).to_json()
+        assert numpy == plain
+        assert '"noise_scale": 2.5' in plain and '"trials": 2' in plain
+
 
 class TestBiasSpec:
     def test_grid_numbering(self):
-        assert [s.dataset_index for s in ALL_BIAS_SPECS] == [1, 2, 3, 4]
-        assert BiasSpec(sample_bias=True, label_bias=True).dataset_index == 4
+        # dataset k is ALL_BIAS_SPECS[k - 1], in the order of the README's grid table
+        assert ALL_BIAS_SPECS == (BiasSpec(sample_bias=False, label_bias=False),
+                                  BiasSpec(sample_bias=True, label_bias=False),
+                                  BiasSpec(sample_bias=False, label_bias=True),
+                                  BiasSpec(sample_bias=True, label_bias=True))
 
 
 # four distinct policies, so a grid cell built with another cell's policy differs

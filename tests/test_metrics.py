@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fairaudit import GroupedOutcomes, audit, entropy
+from fairaudit import GroupedOutcomes, audit
 from fairaudit.errors import ValidationError
 from fairaudit.metrics import (METRIC_NAMES, METRICS, MetricValue, _by_group, cell_counts,
                                nmi_from_counts)
@@ -111,31 +111,6 @@ class TestDisparateImpact:
             None, "undefined", "group-0 positive prediction rate is zero")
 
 
-class TestEntropy:
-    def test_uniform_binary(self):
-        assert entropy([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_degenerate(self):
-        assert entropy([1.0, 0.0]) == 0.0
-
-    def test_skewed(self):
-        expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        assert entropy([0.9, 0.1]) == pytest.approx(expected, abs=1e-15)
-        assert expected == pytest.approx(0.3251, abs=1e-4)
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValidationError):
-            entropy([0.5, 0.6])
-        with pytest.raises(ValidationError):
-            entropy([-0.1, 1.1])
-
-    @pytest.mark.parametrize("dist", [[math.nan, 1.0], [0.5, 0.5, math.nan],
-                                      [math.inf, 0.0], [1.0, -math.inf]])
-    def test_non_finite_rejected(self, dist):
-        with pytest.raises(ValidationError, match="probabilities must be finite"):
-            entropy(dist)
-
-
 class TestNMI:
     def test_perfect_dependence(self):
         data = build_outcomes([(0, 0, 0, 10), (1, 1, 1, 10)])
@@ -181,10 +156,33 @@ class TestNMI:
         data = build_outcomes([(0, 0, 1, 5), (1, 0, 1, 5)])
         assert value(data, "nmi") == 0.0
 
+    # a margin with a zero entry has zero entropy (0 * log 0 := 0), whichever margin it is
+    @pytest.mark.parametrize("counts", [[[0, 0], [3, 7]], [[4, 0], [6, 0]]])
+    def test_one_valued_margin_zero(self, counts):
+        assert nmi_from_counts(counts) == 0.0
+
+    # when Ŷ fixes S, MI equals each margin's entropy, so NMI is 1 at any skew
+    @pytest.mark.parametrize("counts", [[[50, 0], [0, 50]], [[90, 0], [0, 10]],
+                                        [[0, 10], [90, 0]]])
+    def test_bijection_one_at_any_skew(self, counts):
+        assert nmi_from_counts(counts) == pytest.approx(1.0, abs=1e-12)
+
+    def test_skewed_margin_value(self):
+        # Ŷ margin 0.9/0.1 (entropy 0.3251), S margin 0.45/0.55, one empty cell
+        h = lambda q: -sum(x * math.log(x) for x in q)
+        mi = (0.45 * math.log(0.45 / (0.9 * 0.45)) + 0.45 * math.log(0.45 / (0.9 * 0.55))
+              + 0.1 * math.log(0.1 / (0.1 * 0.55)))
+        expected = mi / math.sqrt(h([0.9, 0.1]) * h([0.45, 0.55]))
+        assert h([0.9, 0.1]) == pytest.approx(0.3251, abs=1e-4)
+        assert nmi_from_counts([[45, 45], [0, 10]]) == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.1360, abs=1e-4)
+
+    # the last table's counts are finite, but their total overflows to inf
     @pytest.mark.parametrize("counts", [[[math.nan, 1], [1, 1]], [[math.inf, 1], [1, 1]],
-                                        [[1, 1], [1, -math.inf]]])
+                                        [[1, 1], [1, -math.inf]], [[1e308, 1e308], [1, 1]]])
     def test_non_finite_counts_rejected(self, counts):
-        with pytest.raises(ValidationError, match="counts must be finite"):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError,
+                                                       match="counts must be finite"):
             nmi_from_counts(counts)
 
     @pytest.mark.parametrize("counts, message", [

@@ -389,7 +389,8 @@ class TestKernelMatchesOracle:
 class TestFitMatchesOracle:
     @pytest.mark.parametrize("seed", [41, 97])
     @pytest.mark.parametrize("base", ["A", "B"])
-    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS, ids=lambda s: f"dataset{s.dataset_index}")
+    @pytest.mark.parametrize("spec", ALL_BIAS_SPECS,
+                             ids=["dataset1", "dataset2", "dataset3", "dataset4"])
     def test_bit_identical_on_grid_cells(self, spec, base, seed):
         pop = generate_population(PopulationSpec(
             n_group0=1000, n_group1=500, target_positive_rate_group0=0.5408,

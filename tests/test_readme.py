@@ -57,7 +57,7 @@ def test_population_snippet_runs():
 def test_trial_recipe_rebuilds_the_trial():
     namespace = run_snippet("trial_outcomes(")
     config, k, t = namespace["config"], namespace["k"], namespace["t"]
-    spec = next(s for s in ALL_BIAS_SPECS if s.dataset_index == k)
+    spec = ALL_BIAS_SPECS[k - 1]
     expected = run_trial(config, spec, stable_hash(config.base_seed, k, t),
                          base=build_base(config))
     assert audit(namespace["outcomes"]).to_json_dict() == expected.to_json_dict()

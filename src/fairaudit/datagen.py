@@ -69,6 +69,8 @@ class Population:
                 raise IndexError(f"boolean mask of shape {index.shape} does not match "
                                  f"{len(self)} rows")
             index = np.flatnonzero(index)
+        elif not index.size:  # np.asarray([]) is float64, which take refuses
+            index = index.astype(np.intp)
         return Population(self.id.take(index), self.group.take(index),
                           self.score.take(index), self.features.take(index, axis=0),
                           None if self.label is None else self.label.take(index))

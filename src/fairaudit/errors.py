@@ -20,10 +20,6 @@ class DegenerateDatasetError(FairauditError):
     """A dataset is empty, or a (group, label) cell is too small for downstream use."""
 
 
-class UndefinedMetricError(FairauditError):
-    """A metric's conditioning cell or group is empty."""
-
-
 class NumericalFailureError(FairauditError):
     """The optimizer hit a non-finite loss or diverged."""
     exit_code = 4

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import _binary, _column
-from .errors import UndefinedMetricError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass
@@ -72,11 +72,14 @@ def cell_counts(data: GroupedOutcomes) -> np.ndarray:
                        minlength=8).reshape(2, 2, 2)
 
 
-def _require_groups(counts: np.ndarray) -> None:
+def _absent_group(counts: np.ndarray) -> MetricValue | None:
+    """The undefined value if a group has no records, else None. A MetricValue is
+    always true, so `_absent_group(counts) or ...` never averages an empty group."""
     # outcomes are non-empty, so at most one group can be absent
     for s in (1, 0):
         if not counts[s].any():
-            raise UndefinedMetricError(f"group {s} is absent")
+            return MetricValue(None, f"group {s} is absent")
+    return None
 
 
 def _by_group(data: GroupedOutcomes):
@@ -89,33 +92,32 @@ def _by_group(data: GroupedOutcomes):
 
 def _mean_score_difference(counts: np.ndarray, by_group) -> MetricValue:
     """E{ŷ | S=1} - E{ŷ | S=0}."""
-    _require_groups(counts)
     (s0, _), (s1, _) = by_group
-    return MetricValue(float(s1.mean() - s0.mean()))
+    return _absent_group(counts) or MetricValue(float(s1.mean() - s0.mean()))
 
 
 def _residual_difference(counts: np.ndarray, by_group) -> MetricValue:
     """E{ŷ - Y | S=1} - E{ŷ - Y | S=0}, without a full-length ŷ - Y."""
-    _require_groups(counts)
     (s0, y0), (s1, y1) = by_group
-    return MetricValue(float((s1 - y1).mean() - (s0 - y0).mean()))
+    return _absent_group(counts) or MetricValue(float((s1 - y1).mean() - (s0 - y0).mean()))
 
 
 def _rate_difference(counts: np.ndarray, y: int) -> MetricValue:
     """Pr{Ŷ=1 | S=1, Y=y} - Pr{Ŷ=1 | S=0, Y=y}."""
     for s in (1, 0):
         if not counts[s, y].any():
-            raise UndefinedMetricError(f"no records with S={s}, Y={y}")
+            return MetricValue(None, f"no records with S={s}, Y={y}")
     return MetricValue(float(counts[1, y, 1] / counts[1, y].sum()
                              - counts[0, y, 1] / counts[0, y].sum()))
 
 
 def _disparate_impact(counts: np.ndarray) -> MetricValue:
     """Pr{Ŷ=1 | S=1} / Pr{Ŷ=1 | S=0}."""
-    _require_groups(counts)
+    if absent := _absent_group(counts):
+        return absent
     r1, r0 = (counts[s, :, 1].sum() / counts[s].sum() for s in (1, 0))
     if r0 == 0.0:
-        raise UndefinedMetricError("group-0 positive prediction rate is zero")
+        return MetricValue(None, "group-0 positive prediction rate is zero")
     return MetricValue(float(r1 / r0))
 
 
@@ -146,14 +148,14 @@ def nmi_from_counts(counts) -> float:
 
 def _nmi(counts: np.ndarray) -> MetricValue:
     """NMI of (predicted label, group), zero with a detail when Ŷ takes one value."""
-    _require_groups(counts)
     margin = counts.sum(axis=1).T  # the (Ŷ, S) margin
-    return MetricValue(nmi_from_counts(margin), "" if margin.sum(axis=1).all() else
-                       "degenerate prediction margin; mutual information is zero")
+    return _absent_group(counts) or MetricValue(
+        nmi_from_counts(margin), "" if margin.sum(axis=1).all() else
+        "degenerate prediction margin; mutual information is zero")
 
 
-# name -> (value at the non-discrimination point, fn(counts, by_group) -> MetricValue);
-# fn raises UndefinedMetricError where the metric is undefined
+# name -> (value at the non-discrimination point, fn(counts, by_group) -> MetricValue),
+# whose value is None, with a detail that says why, where the metric is undefined
 METRICS = {
     "mean_score_diff": (0.0, _mean_score_difference),
     "residual_diff": (0.0, _residual_difference),
@@ -188,10 +190,5 @@ def audit(data: GroupedOutcomes) -> MetricReport:
     """Compute every metric in METRICS; undefined markers are carried, never coerced."""
     counts = cell_counts(data)
     by_group = _by_group(data)
-    values = {}
-    for name, (_, fn) in METRICS.items():
-        try:
-            values[name] = fn(counts, by_group)
-        except UndefinedMetricError as e:
-            values[name] = MetricValue(None, str(e))
-    return MetricReport(values, {cell: int(n) for cell, n in np.ndenumerate(counts)})
+    return MetricReport({name: fn(counts, by_group) for name, (_, fn) in METRICS.items()},
+                        {cell: int(n) for cell, n in np.ndenumerate(counts)})

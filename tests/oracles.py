@@ -308,6 +308,17 @@ def _penalized_objective_oracle(X, y, beta, intercept, lam, alpha):
     return loss + penalty
 
 
+def subgradient_violation_oracle(g_beta, g_b, beta, l1):
+    """subgradient_violation's coefficient loop, given the smooth gradient."""
+    viol = abs(g_b)
+    for j in range(len(beta)):
+        if beta[j] != 0.0:
+            viol = max(viol, abs(g_beta[j] + l1 * np.sign(beta[j])))
+        else:
+            viol = max(viol, max(0.0, abs(g_beta[j]) - l1))
+    return float(viol)
+
+
 def fit_oracle(train, params):
     """model.fit as it was before the optimizer reused X @ beta between steps:
     every objective recomputes its linear predictor, and the features are

@@ -415,9 +415,8 @@ class TestRank:
 def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
     # README: 2 config or usage error, 3 data error, 4 numerical failure
     codes = {errors.ValidationError: 2, errors.NumericalFailureError: 4,
-             errors.DegenerateDatasetError: 3, errors.UndefinedMetricError: 3,
-             errors.DataFormatError: 3, errors.ExperimentError: 3,
-             errors.FairauditError: 3, OSError: 2}
+             errors.DegenerateDatasetError: 3, errors.DataFormatError: 3,
+             errors.ExperimentError: 3, errors.FairauditError: 3, OSError: 2}
     assert set(errors.FairauditError.__subclasses__()) < set(codes)
     for error, code in codes.items():
         def fail(args, error=error):

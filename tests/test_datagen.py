@@ -100,9 +100,10 @@ class TestValidation:
         for wrong_length in (np.ones(3, dtype=bool), np.ones(5, dtype=bool)):
             with pytest.raises(IndexError):
                 pop.take(wrong_length)
-        empty = pop.take(np.zeros(4, dtype=bool))
-        assert len(empty) == 0 and empty.features.shape == (0, 2)
-        assert empty.label.shape == (0,)
+        for no_rows in (np.zeros(4, dtype=bool), []):
+            empty = pop.take(no_rows)
+            assert len(empty) == 0 and empty.features.shape == (0, 2)
+            assert empty.label.shape == (0,)
         mask = np.array([True, False, True, True])
         assert same_population(pop.take(mask), pop.take(np.flatnonzero(mask)))
 

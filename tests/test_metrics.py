@@ -246,47 +246,54 @@ class TestAuditReport:
             tpr1 - tpr0, abs=1e-15)
 
 
+# every status and detail string audit reports, pinned per metric
+STATUS_CASES = [
+    ([(0, 1, 1, 5), (0, 0, 0, 5)], "mean_score_diff", "undefined", "group 1 is absent"),
+    ([(1, 1, 1, 5), (1, 0, 0, 5)], "mean_score_diff", "undefined", "group 0 is absent"),
+    ([(0, 1, 1, 5), (0, 0, 0, 5)], "residual_diff", "undefined", "group 1 is absent"),
+    ([(1, 1, 1, 5), (1, 0, 0, 5)], "residual_diff", "undefined", "group 0 is absent"),
+    ([(0, 1, 1, 5), (0, 0, 0, 5)], "disparate_impact", "undefined", "group 1 is absent"),
+    ([(1, 1, 1, 5), (1, 0, 0, 5)], "disparate_impact", "undefined", "group 0 is absent"),
+    ([(0, 1, 1, 5), (0, 0, 0, 5)], "nmi", "undefined", "group 1 is absent"),
+    ([(1, 1, 1, 5), (1, 0, 0, 5)], "nmi", "undefined", "group 0 is absent"),
+    ([(0, 1, 1, 5), (0, 0, 0, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
+     "undefined", "no records with S=1, Y=1"),
+    ([(0, 0, 0, 5), (1, 0, 1, 5)], "equal_opportunity_diff",
+     "undefined", "no records with S=1, Y=1"),
+    ([(0, 0, 0, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
+     "undefined", "no records with S=0, Y=1"),
+    ([(0, 1, 1, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_misopportunity_diff",
+     "undefined", "no records with S=0, Y=0"),
+    ([(0, 0, 0, 5), (1, 1, 1, 5)], "disparate_impact",
+     "undefined", "group-0 positive prediction rate is zero"),
+    ([(0, 0, 1, 5), (1, 0, 1, 5)], "nmi",
+     "ok", "degenerate prediction margin; mutual information is zero"),
+    ([(0, 0, 0, 5), (1, 1, 0, 5)], "nmi",
+     "ok", "degenerate prediction margin; mutual information is zero"),
+    ([(0, 0, 0, 5), (1, 1, 1, 5)], "nmi", "ok", ""),
+]
+# each metric function is called on three mixed outcome sets, then on every other
+# outcome set of STATUS_CASES that leaves a metric undefined
+FUNCTION_CASES = list({tuple(cells): cells for cells in (
+    [(0, 0, 1, 5), (1, 0, 1, 5)], [(0, 0, 0, 5), (1, 1, 1, 5)],
+    [(0, 1, 0, 3), (0, 0, 1, 4), (1, 1, 1, 2), (1, 0, 0, 6)],
+    *(cells for cells, _, status, _ in STATUS_CASES if status == "undefined"))}.values())
+
+
 class TestAuditMatchesPublicFunctions:
-    # every status and detail string audit reports, pinned per metric
-    @pytest.mark.parametrize("cells, name, status, detail", [
-        ([(0, 1, 1, 5), (0, 0, 0, 5)], "mean_score_diff", "undefined", "group 1 is absent"),
-        ([(1, 1, 1, 5), (1, 0, 0, 5)], "mean_score_diff", "undefined", "group 0 is absent"),
-        ([(0, 1, 1, 5), (0, 0, 0, 5)], "residual_diff", "undefined", "group 1 is absent"),
-        ([(1, 1, 1, 5), (1, 0, 0, 5)], "residual_diff", "undefined", "group 0 is absent"),
-        ([(0, 1, 1, 5), (0, 0, 0, 5)], "disparate_impact", "undefined", "group 1 is absent"),
-        ([(1, 1, 1, 5), (1, 0, 0, 5)], "disparate_impact", "undefined", "group 0 is absent"),
-        ([(0, 1, 1, 5), (0, 0, 0, 5)], "nmi", "undefined", "group 1 is absent"),
-        ([(1, 1, 1, 5), (1, 0, 0, 5)], "nmi", "undefined", "group 0 is absent"),
-        ([(0, 1, 1, 5), (0, 0, 0, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
-         "undefined", "no records with S=1, Y=1"),
-        ([(0, 0, 0, 5), (1, 0, 1, 5)], "equal_opportunity_diff",
-         "undefined", "no records with S=1, Y=1"),
-        ([(0, 0, 0, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_opportunity_diff",
-         "undefined", "no records with S=0, Y=1"),
-        ([(0, 1, 1, 5), (1, 1, 1, 5), (1, 0, 0, 5)], "equal_misopportunity_diff",
-         "undefined", "no records with S=0, Y=0"),
-        ([(0, 0, 0, 5), (1, 1, 1, 5)], "disparate_impact",
-         "undefined", "group-0 positive prediction rate is zero"),
-        ([(0, 0, 1, 5), (1, 0, 1, 5)], "nmi",
-         "ok", "degenerate prediction margin; mutual information is zero"),
-        ([(0, 0, 0, 5), (1, 1, 0, 5)], "nmi",
-         "ok", "degenerate prediction margin; mutual information is zero"),
-        ([(0, 0, 0, 5), (1, 1, 1, 5)], "nmi", "ok", ""),
-    ])
+    @pytest.mark.parametrize("cells, name, status, detail", STATUS_CASES)
     def test_status_and_detail_strings(self, cells, name, status, detail):
         got = audit(build_outcomes(cells)).metric(name)
         assert (got.status, got.detail) == (status, detail)
         assert (got.value is None) == (status != "ok")
 
-    @pytest.mark.parametrize("cells", [[(0, 0, 1, 5), (1, 0, 1, 5)], [(0, 0, 0, 5), (1, 1, 1, 5)],
-                                       [(0, 1, 0, 3), (0, 0, 1, 4), (1, 1, 1, 2), (1, 0, 0, 6)]])
+    @pytest.mark.parametrize("cells", FUNCTION_CASES)
     def test_each_metric_returns_the_value_audit_reports(self, cells):
-        # audit adds nothing to a defined metric's MetricValue, NMI's detail included
+        # audit adds nothing to any metric's MetricValue, defined or not
         data = build_outcomes(cells)
         report = audit(data)
         for name, (_, fn) in METRICS.items():
-            if report.metric(name).value is not None:
-                assert fn(cell_counts(data), _by_group(data)) == report.metric(name), name
+            assert fn(cell_counts(data), _by_group(data)) == report.metric(name), name
 
 
 class TestProperties:

@@ -15,7 +15,8 @@ from fairaudit.harness import trial_dataset
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from fairaudit.errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 from conftest import make_population, same_population
-from oracles import _penalized_objective_oracle, fit_oracle, predict_oracle
+from oracles import (_penalized_objective_oracle, fit_oracle, predict_oracle,
+                     subgradient_violation_oracle)
 
 
 def make_labeled(n, seed, d=3, rule=None):
@@ -149,6 +150,19 @@ class TestFit:
         assert subgradient_violation(X, y, np.zeros(2), 0.25, 0.4, 0.5) == want
         # a wider band leaves only the intercept's condition
         assert subgradient_violation(X, y, np.zeros(2), 0.25, 2.0, 0.5) == abs(g_b)
+
+    def test_subgradient_violation_matches_the_loop_bit_for_bit(self):
+        # 0-5 columns with about half the coefficients zero, empty beta included
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            m = int(rng.integers(0, 6))
+            X, y = rng.normal(size=(20, m)), rng.integers(0, 2, 20).astype(float)
+            beta = rng.normal(size=m) * (rng.random(m) < 0.5)
+            intercept, lam, alpha = rng.normal(), rng.exponential(0.5), rng.random()
+            g_beta, g_b = smooth_gradient(X, y, beta, intercept, lam, alpha)
+            want = subgradient_violation_oracle(g_beta, g_b, beta, lam * alpha)
+            got = subgradient_violation(X, y, beta, intercept, lam, alpha)
+            assert got.hex() == want.hex(), (m, got, want)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)

@@ -43,7 +43,9 @@ class Population:
         self.id = _column("id", self.id, np.int64)
         self.group = _binary("group", self.group)
         self.score = _column("score", self.score, float)
-        self.features = _array("features", self.features, float)
+        # C-ordered, as _column stores 1-D columns, so fit's bits do not depend on the caller's
+        # layout; not inside _array, which must keep a 0-d array 0-d for _column to refuse
+        self.features = np.ascontiguousarray(_array("features", self.features, float))
         if self.label is not None:
             self.label = _binary("label", self.label)
         n = self.id.size
@@ -114,13 +116,8 @@ def _binary(name: str, values) -> np.ndarray:
     """values as contiguous 1-D int64, after checking each is 0 or 1 in its own dtype."""
     # contiguous first: the check reads a strided view (a structured-array field) about 2x slower
     values = _column(name, values)
-    if values.dtype.kind in "biu":
-        # two reductions, no full-size temporaries; min() of an empty column raises
-        binary = values.size == 0 or (values.min() >= 0 and values.max() <= 1)
-    else:
-        # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
-        binary = np.all((values == 0) | (values == 1))
-    if not binary:
+    # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
+    if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
     return values.astype(np.int64, copy=False)
 

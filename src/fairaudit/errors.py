@@ -21,7 +21,7 @@ class DegenerateDatasetError(FairauditError):
 
 
 class NumericalFailureError(FairauditError):
-    """The optimizer hit a non-finite loss or diverged."""
+    """The fit hit a non-finite value: a feature's mean or variance, or the loss."""
     exit_code = 4
 
 

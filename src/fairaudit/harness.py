@@ -307,7 +307,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             except (DegenerateDatasetError, NumericalFailureError) as e:
                 trials.append(TrialResult(trial=t, seed=seed, report=None, error=str(e)))
         if all(t.report is None for t in trials):
-            raise ExperimentError(f"all trials of dataset {index} failed")
+            raise ExperimentError(f"all trials of dataset {index} failed; "
+                                  f"trial 0: {trials[0].error}")
         report.datasets[index] = DatasetResult(trials)
     return report
 

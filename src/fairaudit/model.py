@@ -103,24 +103,22 @@ def split(data: Population, train_fraction: float,
 
 
 def _design_matrix(data: Population, include_group: bool) -> np.ndarray:
-    """A new matrix, which fit and predict standardize in place: the features in
-    their memory layout (which decides the bits of the BLAS products), or, with
-    the group column appended, a C-ordered matrix."""
+    """A new C-ordered matrix, which fit and predict standardize in place: the
+    features, with the group column appended if include_group."""
     if include_group:
         return np.column_stack([data.features, data.group.astype(float)])
-    return data.features.copy(order="K")
+    return data.features.copy()
 
 
 def _column_sums(A: np.ndarray) -> np.ndarray:
     """A.sum(axis=0), bit for bit.
 
-    On a C-ordered matrix with two or more columns numpy adds row after row
-    into the running column sums, calling its inner loop once per short row;
-    einsum makes the same additions in the same order in one loop. On other
-    layouts, and on a single column (which numpy sums pairwise), the orders
-    differ, so those keep A.sum(axis=0).
+    On a C-ordered matrix (every design matrix is one) with two or more columns
+    numpy adds row after row into the running column sums, calling its inner loop
+    once per short row; einsum makes the same additions in the same order in one
+    loop. A single column numpy sums pairwise, so it keeps A.sum(axis=0).
     """
-    if A.flags.c_contiguous and A.shape[1] > 1:
+    if A.shape[1] > 1:
         return np.einsum("ij->j", A)
     return A.sum(axis=0)
 
@@ -183,10 +181,14 @@ def fit(train: Population, params: ModelParams) -> Model:
     if X.shape[1] == 0:
         raise ValidationError("training set must have at least one feature")
     n, m = X.shape
-    # the design matrix's mean(axis=0) and std(axis=0), reduced the way numpy does
-    mu = _column_sums(X) / n
-    X -= mu
-    sd = np.sqrt(_column_sums(X * X) / n)
+    # the design matrix's mean(axis=0) and std(axis=0), reduced the way numpy does;
+    # a finite column may still overflow its sum or its squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _column_sums(X) / n
+        X -= mu
+        sd = np.sqrt(_column_sums(X * X) / n)
+    if not np.isfinite(sd).all():
+        raise NumericalFailureError("a feature's mean or variance overflows float64")
     sd = np.where(sd > 0.0, sd, 1.0)
     X /= sd
 

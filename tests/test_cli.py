@@ -356,6 +356,16 @@ class TestExperiment:
             assert ((tmp_path / f"bom{ext}").read_bytes()
                     == (tmp_path / f"plain{ext}").read_bytes())
 
+    def test_feature_variance_overflow_fails_every_trial(self, tmp_path, capsys):
+        # noise_scale 1e300 is finite, but the features' squares overflow in the fit
+        path = tmp_path / "overflow.cfg"
+        path.write_text(SMALL_CFG.replace("noise_scale = 3.0", "noise_scale = 1e300"))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r"),
+                     "--trials", "1"]) == 3
+        assert ("error: all trials of dataset 1 failed; trial 0: a feature's mean or "
+                "variance overflows float64") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_reruns_byte_identical(self, config_file, tmp_path):
         main(["experiment", "--config", config_file, "--out",
               str(tmp_path / "r1"), "--trials", "1"])

@@ -652,7 +652,9 @@ class TestRunExperiment:
     def test_all_trials_failing_raises(self):
         cfg = small_config(population=replace(SMALL_POP, n_group0=40, n_group1=40),
                            trials=2, min_cell_count=10)
-        with pytest.raises(ExperimentError):
+        # the message carries the first trial's reason, since no report is written
+        with pytest.raises(ExperimentError, match=r"^all trials of dataset 1 failed; trial 0: "
+                           r"cell \(group=0, label=0\) has 6 records, fewer than the minimum 10$"):
             run_experiment(cfg)
 
 

@@ -247,6 +247,22 @@ class TestFit:
             fit(balanced_labeled(100, 13), ModelParams(lam=0.01))
         assert len(calls) == 3  # the start, then the Newton and the fallback step
 
+    def test_overflowing_feature_variance_raises(self):
+        # finite features whose squares overflow: without the check the second
+        # column's scale is inf, it standardizes to 0 and the fit silently drops it
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(200, 2))
+        X[:, 1] *= 1e200
+        data = make_population(rng.integers(0, 2, 200), np.full(200, 0.5), X,
+                               (X[:, 1] > 0).astype(int))
+        with pytest.raises(NumericalFailureError,
+                           match="^a feature's mean or variance overflows float64$"):
+            fit(data, ModelParams())
+        # rescaled, the same column separates the labels
+        rescaled = replace(data, features=X * np.array([1.0, 1e-200]))
+        model = fit(rescaled, ModelParams())
+        assert np.mean(predict(model, rescaled)[1] == rescaled.label) > 0.95
+
     def test_empty_train_raises(self):
         with pytest.raises(ValidationError):
             fit(make_population([], [], np.empty((0, 3)), []), ModelParams())
@@ -327,8 +343,22 @@ class TestPredict:
 
 
 def with_features(data, features):
-    """data with its feature matrix replaced, keeping the new matrix's memory layout."""
+    """data with its feature matrix replaced. Population stores the matrix C-ordered
+    whatever its layout, so the layout cases below check that normalization."""
     return Population(data.id, data.group, data.score, features, data.label)
+
+
+@pytest.mark.parametrize("include_group", [False, True], ids=["features", "with_group"])
+def test_fit_and_predict_bits_do_not_depend_on_feature_layout(include_group):
+    train, test = (balanced_labeled(n, seed, d=4) for n, seed in ((400, 31), (200, 32)))
+    params = ModelParams(lam=0.01, include_group_feature=include_group)
+    runs = []
+    for arrange in (np.ascontiguousarray, np.asfortranarray):
+        model = fit(with_features(train, arrange(train.features)), params)
+        score, _ = predict(model, with_features(test, arrange(test.features)))
+        runs.append((model.coefficients.tobytes(), model.intercept.hex(),
+                     [v.hex() for v in model.objective_history], score.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def row_sliced(features):

@@ -61,12 +61,11 @@ def apply_sample_policy(pop: Population, policy: SamplePolicy, seed: int) -> Pop
         raise ValidationError("population must be non-empty")
     rng = np.random.default_rng(seed)
     u = rng.random(len(pop))
-    # p[2 * group + score band], band 1 = at or above the cutoff; one flat index
-    # gathers about 2x faster than p[group, band] with two index arrays
-    p = np.array([policy.p_group0_low, policy.p_group0_high,
-                  policy.p_group1_low, policy.p_group1_high])
-    high = pop.score >= policy.cutoff
-    return pop.take(u < p[2 * pop.group + high])
+    # p[group, score band], band 1 = at or above the cutoff; the band is cast to 0/1
+    # because a boolean array in a tuple index would act as a mask
+    p = np.array([[policy.p_group0_low, policy.p_group0_high],
+                  [policy.p_group1_low, policy.p_group1_high]])
+    return pop.take(u < p[pop.group, (pop.score >= policy.cutoff).astype(np.intp)])
 
 
 def build_dataset(pop: Population, sample_policy: SamplePolicy, label_policy: LabelPolicy,

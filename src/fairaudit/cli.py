@@ -230,11 +230,17 @@ def cmd_audit(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config, args.seed, args.trials)
-    report = harness.run_experiment(config)
     base, ext = os.path.splitext(args.out)
     if ext.lower() not in (".json", ".csv"):
         base = args.out
+    # checked before the grid runs, not when the first write fails after it
+    directory, name = os.path.split(base)
+    if name in ("", ".", ".."):
+        raise ValidationError(f"--out {args.out!r} names a directory, not a file basename")
+    if not os.path.isdir(directory or "."):
+        raise ValidationError(f"--out {args.out!r}: {directory!r} is not a directory")
     json_path, csv_path = base + ".json", base + ".csv"
+    report = harness.run_experiment(config)
     with open(json_path, "w") as fh:
         fh.write(report.to_json())
     report.write_csv(csv_path)

@@ -9,7 +9,9 @@ The only scipy used is `scipy.special` (the regularized incomplete beta
 function and its inverse), imported inside the functions that use it, so
 commands that never generate a population (`fairaudit audit`, `rank`) do not
 pay for its import. The root finder is a port of scipy's `brentq`, so neither
-`scipy.stats` nor `scipy.optimize` (about a second to import) is loaded.
+`scipy.stats` nor `scipy.optimize` is loaded: importing `brentq` after
+`scipy.special` took 0.14-0.17 s on a 2-vCPU host (scipy 1.17), about a third
+of the benchmark's 0.4-0.5 s experiment set-up.
 """
 
 from __future__ import annotations
@@ -241,17 +243,14 @@ def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     k = int(round(n * rate))
     split = special.betainc(a, b, 0.5)
     u = rng.random(n)
-    s = np.empty(n)
     # the inverse CDF: scipy.stats.beta.ppf runs the same Boost inversion and
     # matches it bit for bit except where that inversion gives up with a warning
     # (quantiles below about 1e-100 at some shapes)
-    s[:k] = special.betaincinv(a, b, split + u[:k] * (1.0 - split))
-    s[k:] = special.betaincinv(a, b, u[k:] * split)
-    np.clip(s, 0.0, 1.0, out=s)
+    high = special.betaincinv(a, b, split + u[:k] * (1.0 - split))
+    low = special.betaincinv(a, b, u[k:] * split)
     # guard the cutoff against ppf roundoff so the positive count is exact
-    s[:k] = np.maximum(s[:k], 0.5)
-    s[k:] = np.minimum(s[k:], np.nextafter(0.5, 0.0))
-    return s
+    return np.concatenate([np.clip(high, 0.5, 1.0, out=high),
+                           np.clip(low, 0.0, np.nextafter(0.5, 0.0), out=low)])
 
 
 def generate_population(spec: PopulationSpec) -> Population:

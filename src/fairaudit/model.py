@@ -106,7 +106,7 @@ def _design_matrix(data: Population, include_group: bool) -> np.ndarray:
     """A new C-ordered matrix, which fit and predict standardize in place: the
     features, with the group column appended if include_group."""
     if include_group:
-        return np.column_stack([data.features, data.group.astype(float)])
+        return np.column_stack([data.features, data.group])
     return data.features.copy()
 
 
@@ -135,10 +135,7 @@ def _objective(eta: np.ndarray, y: np.ndarray, beta: np.ndarray,
                lam: float, alpha: float) -> float:
     """Mean logistic loss plus the elastic-net penalty (intercept unpenalized), given
     the linear predictor eta = X @ beta + intercept."""
-    # the terms are formed in place, so y * eta is the only other full-length temporary
-    terms = np.logaddexp(0.0, eta)
-    terms -= y * eta
-    loss = float(np.mean(terms))
+    loss = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
     penalty = lam * (alpha * float(np.abs(beta).sum())
                      + 0.5 * (1.0 - alpha) * float(beta @ beta))
     return loss + penalty

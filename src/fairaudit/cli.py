@@ -49,15 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="audit a predictions CSV")
     aud.add_argument("--input", required=True,
                      help="CSV with columns group,label,score_hat,label_hat")
-    aud.add_argument("--out", required=True)
-    aud.add_argument("--format", choices=("json", "csv"), default="json")
+    aud.add_argument("--out", required=True,
+                     help="report path; a .csv name gets the metric table, any other JSON")
 
     exp = sub.add_parser("experiment", help="run the full 2x2 experiment grid")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True,
                      help="output basename; writes <out>.json and <out>.csv")
     exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--trials", type=int, default=None)
 
     rank = sub.add_parser("rank", help="rank datasets by deviation from the fair point")
     rank.add_argument("--report", required=True, help="experiment report JSON")
@@ -65,12 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path, seed_override=None, trials_override=None) -> harness.ExperimentConfig:
+def _load_config(path, seed_override=None) -> harness.ExperimentConfig:
     config = harness.load_config(path)
     if seed_override is not None:
         config = replace(config, base_seed=seed_override)
-    if trials_override is not None:
-        config = replace(config, trials=trials_override)
     return config
 
 
@@ -210,17 +207,17 @@ def _read_predictions_csv(path) -> GroupedOutcomes:
 def cmd_audit(args) -> int:
     data = _read_predictions_csv(args.input)
     report = audit(data)
-    if args.format == "json":
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
+    if os.path.splitext(args.out)[1].lower() == ".csv":
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value", "status", "detail"])
             for name in METRIC_NAMES:
                 mv = report.metric(name)
                 writer.writerow([name, mv.csv_text, mv.status, mv.detail])
+    else:
+        with open(args.out, "w") as fh:
+            json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
     for name in METRIC_NAMES:
         mv = report.metric(name)
         shown = "undefined" if mv.value is None else format(mv.value, ".6g")
@@ -229,7 +226,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = _load_config(args.config, args.seed, args.trials)
+    config = _load_config(args.config, args.seed)
     base, ext = os.path.splitext(args.out)
     if ext.lower() not in (".json", ".csv"):
         base = args.out

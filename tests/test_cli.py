@@ -39,6 +39,9 @@ noise_scale = 3.0
 lambda = 0.01
 """
 
+# the trial count comes only from the config; one trial keeps the experiment tests fast
+ONE_TRIAL_CFG = SMALL_CFG.replace("trials = 2", "trials = 1")
+
 FIXTURE_CSV_HEADER = "group,label,score_hat,label_hat\n"
 
 
@@ -55,6 +58,13 @@ def fixture_rows():
 def config_file(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(SMALL_CFG)
+    return str(path)
+
+
+@pytest.fixture
+def one_trial_config(tmp_path):
+    path = tmp_path / "one_trial.cfg"
+    path.write_text(ONE_TRIAL_CFG)
     return str(path)
 
 
@@ -164,15 +174,31 @@ class TestAudit:
         assert m["nmi"]["value"] == pytest.approx(0.1187, abs=1e-3)
         assert "equal_opportunity_diff" in capsys.readouterr().out
 
-    def test_csv_format(self, fixture_csv, tmp_path):
-        out = tmp_path / "report.csv"
-        assert main(["audit", "--input", fixture_csv, "--out", str(out),
-                     "--format", "csv"]) == 0
+    @pytest.mark.parametrize("name", ["report.csv", "report.CSV"])
+    def test_csv_out_writes_metric_table(self, fixture_csv, tmp_path, name):
+        out = tmp_path / name
+        assert main(["audit", "--input", fixture_csv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "metric,value,status,detail"
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         values = {r["metric"]: float(r["value"]) for r in rows}
         assert values["disparate_impact"] == pytest.approx(3 / 7)
+
+    @pytest.mark.parametrize("name", ["report.JSON", "report", "report.txt"])
+    def test_other_out_writes_json_report(self, fixture_csv, tmp_path, name):
+        want = tmp_path / "want.json"
+        assert main(["audit", "--input", fixture_csv, "--out", str(want)]) == 0
+        out = tmp_path / name
+        assert main(["audit", "--input", fixture_csv, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_format_option_is_gone(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["audit", "--input", fixture_csv, "--out", str(out),
+                     "--format", "csv"]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_large_csv_report_bytes_match_oracles(self, tmp_path):
         n = 100_003
@@ -209,8 +235,7 @@ class TestAudit:
             f"{name},{v:.12g},ok,\r\n" for name, v in values.items())
         for fmt, want in (("json", want_json), ("csv", want_csv)):
             out = tmp_path / f"report.{fmt}"
-            assert main(["audit", "--input", str(path), "--out", str(out),
-                         "--format", fmt]) == 0
+            assert main(["audit", "--input", str(path), "--out", str(out)]) == 0
             assert out.read_bytes() == want.encode(), fmt
 
     @pytest.mark.parametrize("header", [FIXTURE_CSV_HEADER.replace(",", ", "),
@@ -305,10 +330,9 @@ class TestExperiment:
         assert rows[0] == ["dataset", "metric", "trial", "value", "status"]
         assert "dataset 4" in capsys.readouterr().out
 
-    def test_trials_override_single_trial_zero_std(self, config_file, tmp_path):
+    def test_single_trial_zero_std(self, one_trial_config, tmp_path):
         out = tmp_path / "one"
-        assert main(["experiment", "--config", config_file, "--out", str(out),
-                     "--trials", "1"]) == 0
+        assert main(["experiment", "--config", one_trial_config, "--out", str(out)]) == 0
         doc = json.loads((tmp_path / "one.json").read_text())
         for d in doc["datasets"].values():
             for m in d["metrics"].values():
@@ -346,12 +370,11 @@ class TestExperiment:
                 in capsys.readouterr().err)
         assert not (tmp_path / "r.json").exists()
 
-    def test_byte_order_mark_config_runs_like_plain_file(self, config_file, tmp_path):
+    def test_byte_order_mark_config_runs_like_plain_file(self, one_trial_config, tmp_path):
         bom = tmp_path / "bom.cfg"
-        bom.write_bytes(SMALL_CFG.encode("utf-8-sig"))
-        for name, path in (("plain", config_file), ("bom", str(bom))):
-            assert main(["experiment", "--config", path, "--out", str(tmp_path / name),
-                         "--trials", "1"]) == 0
+        bom.write_bytes(ONE_TRIAL_CFG.encode("utf-8-sig"))
+        for name, path in (("plain", one_trial_config), ("bom", str(bom))):
+            assert main(["experiment", "--config", path, "--out", str(tmp_path / name)]) == 0
         for ext in (".json", ".csv"):
             assert ((tmp_path / f"bom{ext}").read_bytes()
                     == (tmp_path / f"plain{ext}").read_bytes())
@@ -359,18 +382,15 @@ class TestExperiment:
     def test_feature_variance_overflow_fails_every_trial(self, tmp_path, capsys):
         # noise_scale 1e300 is finite, but the features' squares overflow in the fit
         path = tmp_path / "overflow.cfg"
-        path.write_text(SMALL_CFG.replace("noise_scale = 3.0", "noise_scale = 1e300"))
-        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r"),
-                     "--trials", "1"]) == 3
+        path.write_text(ONE_TRIAL_CFG.replace("noise_scale = 3.0", "noise_scale = 1e300"))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 3
         assert ("error: all trials of dataset 1 failed; trial 0: a feature's mean or "
                 "variance overflows float64") in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_reruns_byte_identical(self, config_file, tmp_path):
-        main(["experiment", "--config", config_file, "--out",
-              str(tmp_path / "r1"), "--trials", "1"])
-        main(["experiment", "--config", config_file, "--out",
-              str(tmp_path / "r2"), "--trials", "1"])
+    def test_reruns_byte_identical(self, one_trial_config, tmp_path):
+        main(["experiment", "--config", one_trial_config, "--out", str(tmp_path / "r1")])
+        main(["experiment", "--config", one_trial_config, "--out", str(tmp_path / "r2")])
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
     def test_missing_out_directory_exits_2_before_any_trial(self, config_file, tmp_path,
@@ -384,29 +404,35 @@ class TestExperiment:
         assert calls == []
 
     @pytest.mark.parametrize("suffix", [os.sep, os.sep + "."])
-    def test_out_naming_a_directory_exits_2(self, config_file, tmp_path, capsys, suffix):
+    def test_out_naming_a_directory_exits_2(self, one_trial_config, tmp_path, capsys,
+                                            suffix):
         # unchecked, these would write the hidden files results/.json and results/..json
         (tmp_path / "results").mkdir()
         out = str(tmp_path / "results") + suffix
-        assert main(["experiment", "--config", config_file, "--out", out,
-                     "--trials", "1"]) == 2
+        assert main(["experiment", "--config", one_trial_config, "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
         assert not (tmp_path / "results" / ".json").exists()
         assert os.listdir(tmp_path / "results") == []
 
-    def test_out_beside_a_same_named_directory_writes_files(self, config_file, tmp_path):
+    def test_out_beside_a_same_named_directory_writes_files(self, one_trial_config,
+                                                            tmp_path):
         (tmp_path / "results").mkdir()
-        assert main(["experiment", "--config", config_file, "--out",
-                     str(tmp_path / "results"), "--trials", "1"]) == 0
+        assert main(["experiment", "--config", one_trial_config, "--out",
+                     str(tmp_path / "results")]) == 0
         assert (tmp_path / "results.json").exists() and (tmp_path / "results.csv").exists()
+
+    def test_trials_option_is_gone(self, config_file, tmp_path, capsys):
+        assert main(["experiment", "--config", config_file, "--out", str(tmp_path / "r"),
+                     "--trials", "1"]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestRank:
     @pytest.fixture
-    def report_json(self, config_file, tmp_path):
+    def report_json(self, one_trial_config, tmp_path):
         out = tmp_path / "rep"
-        main(["experiment", "--config", config_file, "--out", str(out),
-              "--trials", "1"])
+        main(["experiment", "--config", one_trial_config, "--out", str(out)])
         return str(tmp_path / "rep.json")
 
     def test_rank_prints_ordering(self, report_json, capsys):

@@ -1,7 +1,8 @@
 """The toolkit's exception hierarchy, and `require`, which checks config fields.
 
 Each class's `exit_code` is what the command line returns for it: 2 for a
-ValidationError, 4 for a NumericalFailureError, 3 for any other (data) error."""
+ValidationError, 4 for a NumericalFailureError, 3 for any other (data) error. An
+experiment whose dataset fails every trial exits with that dataset's first trial's code."""
 
 import numbers
 
@@ -27,10 +28,6 @@ class NumericalFailureError(FairauditError):
 
 class DataFormatError(FairauditError):
     """An input file is malformed; message carries the line number."""
-
-
-class ExperimentError(FairauditError):
-    """Every trial of a dataset cell failed."""
 
 
 def require(owner, names: str, holds, rule: str) -> None:

@@ -20,8 +20,8 @@ from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POL
                    UNBIASED_SAMPLE_POLICY, LabelPolicy, SamplePolicy, build_dataset)
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
-from .errors import (DegenerateDatasetError, ExperimentError,
-                     NumericalFailureError, ValidationError, is_int, require)
+from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError,
+                     is_int, require)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
 from .model import Model, ModelParams, fit, predict, split
 
@@ -204,6 +204,9 @@ def trial_outcomes(config: ExperimentConfig, bias_spec: BiasSpec, trial_seed: in
     train, test = split(trial_dataset(config, bias_spec, stable_hash(trial_seed, "sample"), base),
                         config.model.train_fraction, stable_hash(trial_seed, "split"))
     model = fit(train, config.model)
+    if not model.converged:
+        raise NumericalFailureError(
+            f"fit did not converge within max_iters = {config.model.max_iters}")
     return model, test, GroupedOutcomes(test.group, test.label, *predict(model, test))
 
 
@@ -298,17 +301,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     base = build_base(config)
     report = ExperimentReport(config=config.to_dict())
     for index, bias_spec in enumerate(ALL_BIAS_SPECS, 1):
-        trials = []
+        trials, first = [], None
         for t in range(config.trials):
             seed = stable_hash(config.base_seed, index, t)
             try:
                 trial_report = run_trial(config, bias_spec, seed, base=base)
                 trials.append(TrialResult(trial=t, seed=seed, report=trial_report))
             except (DegenerateDatasetError, NumericalFailureError) as e:
+                first = first or e
                 trials.append(TrialResult(trial=t, seed=seed, report=None, error=str(e)))
         if all(t.report is None for t in trials):
-            raise ExperimentError(f"all trials of dataset {index} failed; "
-                                  f"trial 0: {trials[0].error}")
+            raise type(first)(f"all trials of dataset {index} failed; "
+                              f"trial 0: {first}") from first
         report.datasets[index] = DatasetResult(trials)
     return report
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from fairaudit import GroupedOutcomes, Population, SamplePolicy
+from fairaudit import (GroupedOutcomes, Population, SamplePolicy, bundled_config_path,
+                       load_config, run_experiment)
 from fairaudit.cli import PREDICTION_COLUMNS
 from fairaudit.errors import DegenerateDatasetError
+from fairaudit.metrics import FAIR_POINTS
 
 # keeps every record: sampling becomes the identity, for exact unit tests
 KEEP_ALL_SAMPLE_POLICY = SamplePolicy(cutoff=0.5, p_group0_high=1.0, p_group0_low=1.0,
@@ -46,6 +48,24 @@ def build_outcomes(cells, scores_equal_labels=True):
         score_hat.extend([float(yhat) if scores_equal_labels else 0.5] * count)
     return GroupedOutcomes(group=group, label=label,
                            score_hat=score_hat, label_hat=label_hat)
+
+
+# the bundled experiments at their default 20 trials, run once for the acceptance
+# gates and the README's Results tables
+@pytest.fixture(scope="session")
+def report_A():
+    return run_experiment(load_config(bundled_config_path("experiment_A.cfg")))
+
+
+@pytest.fixture(scope="session")
+def report_B():
+    return run_experiment(load_config(bundled_config_path("experiment_B.cfg")))
+
+
+def deviations(report, metric):
+    """{dataset index: |mean of metric - its fair point|} of an experiment report."""
+    fair = FAIR_POINTS[metric]
+    return {i: abs(r.metric_mean(metric) - fair) for i, r in report.datasets.items()}
 
 
 @pytest.fixture

@@ -8,37 +8,20 @@ configs at their default 20 trials.
 import math
 
 import numpy as np
-import pytest
 from scipy.special import expit
 
 from fairaudit import (BIASED_SAMPLE_POLICY, GroupedOutcomes, ModelParams,
-                       apply_sample_policy, audit,
-                       bundled_config_path, fit, load_config, run_experiment)
+                       apply_sample_policy, audit, fit)
 from fairaudit.cli import main
-from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES, cell_counts, nmi_from_counts
+from fairaudit.metrics import METRIC_NAMES, cell_counts, nmi_from_counts
 from fairaudit.model import smooth_gradient, subgradient_violation, _design_matrix
 from oracles import ORACLES
-from conftest import build_outcomes, make_population, random_outcomes
+from conftest import build_outcomes, deviations, make_population, random_outcomes
 
 
 def report_line(name, ok):
     print(f"{'PASS' if ok else 'FAIL'}  {name}")
     assert ok, name
-
-
-@pytest.fixture(scope="module")
-def report_A():
-    return run_experiment(load_config(bundled_config_path("experiment_A.cfg")))
-
-
-@pytest.fixture(scope="module")
-def report_B():
-    return run_experiment(load_config(bundled_config_path("experiment_B.cfg")))
-
-
-def deviations(report, metric):
-    fair = FAIR_POINTS[metric]
-    return {i: abs(r.metric_mean(metric) - fair) for i, r in report.datasets.items()}
 
 
 def test_metric_oracle_suite():

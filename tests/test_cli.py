@@ -383,10 +383,18 @@ class TestExperiment:
         # noise_scale 1e300 is finite, but the features' squares overflow in the fit
         path = tmp_path / "overflow.cfg"
         path.write_text(ONE_TRIAL_CFG.replace("noise_scale = 3.0", "noise_scale = 1e300"))
-        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 3
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 4
         assert ("error: all trials of dataset 1 failed; trial 0: a feature's mean or "
                 "variance overflows float64") in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_non_converged_fits_fail_every_trial(self, tmp_path, capsys):
+        path = tmp_path / "one_iter.cfg"
+        path.write_text(ONE_TRIAL_CFG + "max_iters = 1\n")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 4
+        assert ("error: all trials of dataset 1 failed; trial 0: fit did not converge "
+                "within max_iters = 1") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
     def test_reruns_byte_identical(self, one_trial_config, tmp_path):
         main(["experiment", "--config", one_trial_config, "--out", str(tmp_path / "r1")])
@@ -479,7 +487,7 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
     # README: 2 config or usage error, 3 data error, 4 numerical failure
     codes = {errors.ValidationError: 2, errors.NumericalFailureError: 4,
              errors.DegenerateDatasetError: 3, errors.DataFormatError: 3,
-             errors.ExperimentError: 3, errors.FairauditError: 3, OSError: 2}
+             errors.FairauditError: 3, OSError: 2}
     assert set(errors.FairauditError.__subclasses__()) < set(codes)
     for error, code in codes.items():
         def fail(args, error=error):

@@ -11,16 +11,16 @@ import pytest
 from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
                        ExperimentConfig, ExperimentReport, LabelPolicy, ModelParams,
-                       PopulationSpec, SamplePolicy, audit, bundled_config_path, load_config,
-                       predict, rank_datasets, rank_means, run_experiment, run_trial,
-                       stable_hash)
+                       PopulationSpec, SamplePolicy, audit, bundled_config_path, fit,
+                       load_config, predict, rank_datasets, rank_means, run_experiment,
+                       run_trial, split, stable_hash)
 from fairaudit import harness
 from fairaudit import model as model_module
 from fairaudit.bias import build_dataset
 from fairaudit.harness import (_CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset,
                                trial_outcomes)
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
-from fairaudit.errors import ExperimentError, ValidationError
+from fairaudit.errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 from conftest import same_population
 
 SMALL_POP = PopulationSpec(n_group0=1500, n_group1=1500,
@@ -526,6 +526,17 @@ class TestRunTrial:
         assert outcomes.score_hat.tobytes() == score_hat.tobytes()
         assert np.array_equal(outcomes.label_hat, label_hat)
 
+    def test_non_converged_fit_fails_the_trial(self):
+        cfg = small_config(model=ModelParams(lam=0.01, max_iters=1))
+        base, spec = build_base(cfg), BiasSpec(False, False)
+        with pytest.raises(NumericalFailureError,
+                           match=r"^fit did not converge within max_iters = 1$"):
+            trial_outcomes(cfg, spec, 5, base)
+        # the library fit itself still returns the non-converged model
+        train, _ = split(trial_dataset(cfg, spec, stable_hash(5, "sample"), base),
+                         cfg.model.train_fraction, stable_hash(5, "split"))
+        assert fit(train, cfg.model).converged is False
+
     def test_run_trial_audits_trial_outcomes(self):
         cfg = small_config()
         base = build_base(cfg)
@@ -653,7 +664,8 @@ class TestRunExperiment:
         cfg = small_config(population=replace(SMALL_POP, n_group0=40, n_group1=40),
                            trials=2, min_cell_count=10)
         # the message carries the first trial's reason, since no report is written
-        with pytest.raises(ExperimentError, match=r"^all trials of dataset 1 failed; trial 0: "
+        with pytest.raises(DegenerateDatasetError,
+                           match=r"^all trials of dataset 1 failed; trial 0: "
                            r"cell \(group=0, label=0\) has 6 records, fewer than the minimum 10$"):
             run_experiment(cfg)
 

@@ -1,5 +1,6 @@
 """The README's Library section: every name it lists imports, and its snippets run;
-its Metrics list matches the metric table."""
+its Metrics list matches the metric table, and its Results tables match the
+bundled experiments."""
 
 import ast
 import importlib
@@ -11,8 +12,8 @@ import numpy as np
 from fairaudit import (ALL_BIAS_SPECS, UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY,
                        audit, build_dataset, run_trial)
 from fairaudit.harness import build_base, stable_hash
-from fairaudit.metrics import METRICS
-from conftest import same_population
+from fairaudit.metrics import METRIC_NAMES, METRICS
+from conftest import deviations, same_population
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,3 +82,56 @@ def test_metrics_list_matches_the_metric_table():
     assert len(entries) == len(re.findall(r"^- ", metrics, re.M))
     assert [(name, float(fair)) for name, fair in entries] == [
         (name, fair) for name, (fair, _) in METRICS.items()]
+
+
+BIAS_NAMES = ("none", "sample", "label", "both")
+HEADER = "| Dataset | " + " | ".join(f"`{name}`" for name in METRIC_NAMES) + " |"
+RULE = "|---" * (1 + len(METRIC_NAMES)) + "|"
+
+
+def results_table(report):
+    """Each dataset's 20-trial mean ± standard error (sample sd / sqrt(n)) per metric."""
+    rows = [f"| {index} ({BIAS_NAMES[index - 1]}) | " + " | ".join(
+                f"{np.mean(values):.4f} ± {np.std(values, ddof=1) / np.sqrt(len(values)):.4f}"
+                for values in map(result.metric_values, METRIC_NAMES)) + " |"
+            for index, result in sorted(report.datasets.items())]
+    return [HEADER, RULE, *rows]
+
+
+def margins_table(gates):
+    """One row per acceptance gate: its margin per metric, positive where it holds."""
+    rows = [f"| {gate} | " + " | ".join(f"{margins[name]:+.4f}" if name in margins else "—"
+                                        for name in METRIC_NAMES) + " |"
+            for gate, margins in gates.items()]
+    return [HEADER.replace("Dataset", "Gate"), RULE, *rows]
+
+
+def gate_margins_A(report):
+    dev = {name: deviations(report, name) for name in METRIC_NAMES}
+    return {"D1 least biased": {name: min(dev[name][k] for k in (2, 3, 4)) - dev[name][1]
+                                for name in METRIC_NAMES},
+            "D4 most biased": {name: dev[name][4] - max(dev[name][k] for k in (1, 2, 3))
+                               for name in METRIC_NAMES if name != "residual_diff"}}
+
+
+def gate_margins_B(report):
+    mean = {k: {name: r.metric_mean(name) for name in METRIC_NAMES}
+            for k, r in report.datasets.items()}
+    return {"D1 shows disparity": {"disparate_impact": abs(mean[1]["disparate_impact"] - 1) - 0.2,
+                                   "mean_score_diff": abs(mean[1]["mean_score_diff"]) - 0.05},
+            "label bias < sample bias": {
+                name: abs(mean[2][name] - mean[1][name]) - abs(mean[3][name] - mean[1][name])
+                for name in ("mean_score_diff", "equal_opportunity_diff",
+                             "disparate_impact", "nmi")}}
+
+
+def tables(text):
+    """The markdown tables in text, each as its list of lines."""
+    return [block.splitlines() for block in re.findall(r"^(\|.*\|\n(?:\|.*\|\n)*)", text, re.M)]
+
+
+def test_results_tables_match_the_bundled_experiments(report_A, report_B):
+    results = section("Results")
+    for name, report, gates in (("A", report_A, gate_margins_A), ("B", report_B, gate_margins_B)):
+        text = results.split(f"\n### Experiment {name}\n", 1)[1].split("\n### ", 1)[0]
+        assert tables(text) == [results_table(report), margins_table(gates(report))]

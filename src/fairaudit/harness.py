@@ -12,7 +12,7 @@ import configparser
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -64,11 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require(self, "experiment", lambda v: v in ("A", "B"), "be 'A' or 'B'")
-        for names, kind in (("population", PopulationSpec),
-                            ("biased_label_policy unbiased_label_policy", LabelPolicy),
-                            ("biased_sample_policy unbiased_sample_policy", SamplePolicy),
-                            ("model", ModelParams)):
-            require(self, names, lambda v: isinstance(v, kind), f"be a {kind.__name__}")
+        for target in _SECTIONS.values():
+            kind = type(getattr(ExperimentConfig, target))
+            require(self, target, lambda v: isinstance(v, kind), f"be a {kind.__name__}")
         require(self, "trials min_cell_count", lambda v: v >= 1, "be >= 1")
         # negative base seeds are valid: stable_hash mixes any integer into a seed
         require(self, "trials min_cell_count base_seed", is_int, "be an integer")
@@ -93,30 +91,27 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-_LABEL_POLICY_KEYS = {k: k for k in ("threshold_group0", "threshold_group1")}
-_SAMPLE_POLICY_KEYS = {k: k for k in ("cutoff", "p_group0_high", "p_group0_low",
-                                      "p_group1_high", "p_group1_low")}
+# every config section but [experiment], and the ExperimentConfig field it sets
+_SECTIONS = {"population": "population",
+             "label_policy.biased": "biased_label_policy",
+             "label_policy.unbiased": "unbiased_label_policy",
+             "sample_policy.biased": "biased_sample_policy",
+             "sample_policy.unbiased": "unbiased_sample_policy",
+             "model": "model"}
+# the fields whose config key is not their own name
+_RENAMED = {"experiment": "name", "lam": "lambda",
+            "target_positive_rate_group0": "positive_rate_group0",
+            "target_positive_rate_group1": "positive_rate_group1"}
 # every config section: the ExperimentConfig field it sets ("" = ExperimentConfig
 # itself) and {config key: field name}; load_config and to_dict both read it, and
-# any other section or key is rejected
+# any other section or key is rejected. A field that holds a section is no key,
+# nor is PopulationSpec.seed, which population_spec draws from base_seed.
 _CONFIG_NAMES = {
-    "experiment": ("", {"name": "experiment", "trials": "trials", "base_seed": "base_seed",
-                        "min_cell_count": "min_cell_count"}),
-    "population": ("population", {
-        "n_group0": "n_group0", "n_group1": "n_group1",
-        "positive_rate_group0": "target_positive_rate_group0",
-        "positive_rate_group1": "target_positive_rate_group1",
-        "feature_dim": "feature_dim", "proxy_strength": "proxy_strength",
-        "noise_scale": "noise_scale", "score_concentration": "score_concentration"}),
-    "label_policy.biased": ("biased_label_policy", _LABEL_POLICY_KEYS),
-    "label_policy.unbiased": ("unbiased_label_policy", _LABEL_POLICY_KEYS),
-    "sample_policy.biased": ("biased_sample_policy", _SAMPLE_POLICY_KEYS),
-    "sample_policy.unbiased": ("unbiased_sample_policy", _SAMPLE_POLICY_KEYS),
-    "model": ("model", {"lambda": "lam", "alpha": "alpha", "max_iters": "max_iters",
-                        "tolerance": "tolerance", "train_fraction": "train_fraction",
-                        "include_group_feature": "include_group_feature",
-                        "prediction_threshold": "prediction_threshold"}),
-}
+    section: (target, {_RENAMED.get(f.name, f.name): f.name
+                       for f in fields(getattr(ExperimentConfig, target) if target
+                                       else ExperimentConfig)
+                       if f.name not in (*_SECTIONS.values(), "seed")})
+    for section, target in {"experiment": "", **_SECTIONS}.items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -137,19 +132,19 @@ def load_config(path) -> ExperimentConfig:
         for name in parser.sections():
             if name not in _CONFIG_NAMES:
                 raise ValidationError(f"invalid config {path}: unknown section [{name}]")
-            target, fields = _CONFIG_NAMES[name]
+            target, keys = _CONFIG_NAMES[name]
             section = parser[name]
-            unknown = [key for key in section if key not in fields]
+            unknown = [key for key in section if key not in keys]
             if unknown:
                 raise ValidationError(f"invalid config {path}: unknown key(s) "
                                       f"{', '.join(unknown)} in [{name}]")
             base = getattr(config, target) if target else config
             values = {}
             for key in section:
-                default = getattr(base, fields[key])
+                default = getattr(base, keys[key])
                 try:
-                    values[fields[key]] = (section.getboolean(key) if type(default) is bool
-                                           else type(default)(section[key]))
+                    values[keys[key]] = (section.getboolean(key) if type(default) is bool
+                                         else type(default)(section[key]))
                 except (ValueError, configparser.Error) as e:
                     raise ValidationError(f"invalid config {path}: [{name}] {key}: {e}") from e
             try:
@@ -157,7 +152,7 @@ def load_config(path) -> ExperimentConfig:
             except ValidationError as e:
                 # the dataclass check names its field; say which config key that is
                 field, _, rest = str(e).partition(" ")
-                named = next((f"{key} {rest}" for key, f in fields.items() if f == field), e)
+                named = next((f"{key} {rest}" for key, f in keys.items() if f == field), e)
                 raise ValidationError(f"invalid config {path}: [{name}] {named}") from e
             config = replace(config, **{target: part}) if target else part
         return config

@@ -473,6 +473,24 @@ class TestConfigSchema:
         assert numpy == plain
         assert '"noise_scale": 2.5' in plain and '"trials": 2' in plain
 
+    def test_rename_table_names_fields_and_keeps_keys_distinct(self):
+        # each field of a section's dataclass is a key under its own name or its
+        # rename; fields that hold a section, and PopulationSpec.seed (drawn from
+        # base_seed), are no key
+        default = ExperimentConfig()
+        parts = {target: getattr(default, target) if target else default
+                 for target, _ in _CONFIG_NAMES.values()}
+        names = {(target, f.name) for target, part in parts.items() for f in fields(part)}
+        assert set(harness._RENAMED) <= {name for _, name in names}
+        unkeyed = {("", target) for target in parts if target} | {("population", "seed")}
+        keyed = {(target, name) for target, keys in _CONFIG_NAMES.values()
+                 for name in keys.values()}
+        assert names - keyed == unkeyed
+        for target, part in parts.items():
+            keys = [harness._RENAMED.get(f.name, f.name) for f in fields(part)
+                    if (target, f.name) not in unkeyed]
+            assert len(keys) == len(set(keys)), target
+
 
 class TestBiasSpec:
     def test_grid_numbering(self):

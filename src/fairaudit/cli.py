@@ -256,10 +256,17 @@ def cmd_rank(args) -> int:
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
-        means = {int(k): v["metrics"][args.metric]["mean"]
-                 for k, v in doc["datasets"].items()}
+        keys, means = {}, {}  # dataset index -> its key in the report, its mean
+        for key, result in doc["datasets"].items():
+            index = int(key)
+            if index in keys:  # "1" and "01", " 1" or "+1"
+                raise DataFormatError(f"{args.report}: dataset keys {keys[index]!r} and "
+                                      f"{key!r} both name dataset {index}")
+            keys[index], means[index] = key, result["metrics"][args.metric]["mean"]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
+    if not means:
+        raise DataFormatError(f"{args.report}: the report has no datasets")
     for index, mean in means.items():
         # json reads NaN, Infinity and integers beyond the float range; bool is not a number
         if mean is not None and not (type(mean) in (int, float)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -482,6 +483,27 @@ class TestRank:
             path.write_text(json.dumps(doc))
             assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
 
+    def test_rank_report_with_no_datasets_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"datasets": {}}))
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the report has no datasets\n"
+
+    @pytest.mark.parametrize("clash", ["01", " 1", "+1"])
+    def test_rank_keys_naming_one_dataset_exit_3(self, tmp_path, capsys, clash):
+        # before, the later key's mean silently replaced the earlier one's
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"datasets": {
+            k: {"metrics": {"nmi": {"mean": v}}}
+            for k, v in (("1", 0.1), ("2", 0.2), (clash, 0.3))}}))
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: dataset keys '1' and {clash!r} both name dataset 1\n")
+
 
 def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
     # README: 2 config or usage error, 3 data error, 4 numerical failure
@@ -704,16 +726,40 @@ class TestPredictionsReader:
             [1], [0], [0.5], [1]]
         assert csv.field_size_limit() == limit
 
-    # Python 3.11 made csv read NUL bytes; before it, the csv.reader passes raise
-    @pytest.mark.skipif(sys.version_info >= (3, 11), reason="csv reads NUL bytes")
-    @pytest.mark.parametrize("text, line", [
-        (HEADER.replace(",", "\0,", 1) + "1,1,0.5,1\n", 1),
-        (HEADER + "1,1,0.5,1\n1,1,0.5\0,1\n", 3),
+    # csv keeps a NUL byte in its field, which then names no column or parses as no number
+    @pytest.mark.parametrize("text, message", [
+        (HEADER.replace(",", "\0,", 1) + "1,1,0.5,1\n", "line 1: missing columns group"),
+        (HEADER + "1,1,0.5,1\n1,1,0.5\0,1\n",
+         r"line 3: column score_hat: could not convert '0.5\x00' to float64"),
     ])
-    def test_nul_byte_names_its_line(self, tmp_path, capsys, text, line):
+    def test_nul_byte_names_its_line(self, tmp_path, capsys, text, message):
         path = _write(tmp_path, text)
         assert main(["audit", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
-        assert f": line {line}: line contains NUL" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    # a field past csv's limit raises csv.Error; the limit lowered to 12 characters
+    # stands for one past the 2**31 - 1 that _any_field_length lifts it to
+    @pytest.mark.parametrize("text, line", [
+        ("x" * 13 + "," + HEADER + "n,1,0,0.5,1\n", 1),
+        # line 4's group = 2 sends the reader to the rescan, which stops at line 3's field
+        (HEADER.replace("\n", ",note\n") + "1,1,0.5,1,n\n1,1,0.5,1," + "x" * 13
+         + "\n2,1,0.5,1,n\n", 3),
+    ])
+    def test_field_past_the_limit_names_its_line(self, tmp_path, capsys, monkeypatch, text,
+                                                 line):
+        @contextlib.contextmanager
+        def limit_12():
+            limit = csv.field_size_limit(12)
+            try:
+                yield
+            finally:
+                csv.field_size_limit(limit)
+
+        monkeypatch.setattr(cli, "_any_field_length", limit_12)
+        path = _write(tmp_path, text)
+        assert main(["audit", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {line}: field larger than field limit (12)\n")
 
     def test_compressed_extensions_match_numpy(self):
         assert sorted(COMPRESSED_EXTENSIONS) == sorted(

@@ -27,6 +27,7 @@ from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+DATASET_INDICES = range(1, len(harness.ALL_BIAS_SPECS) + 1)  # the 2x2 grid's datasets
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,8 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build one bias-grid dataset as labeled CSV")
     build.add_argument("--config", required=True)
-    build.add_argument("--dataset", type=int, choices=range(1, len(harness.ALL_BIAS_SPECS) + 1),
-                       required=True)
+    build.add_argument("--dataset", type=int, choices=DATASET_INDICES, required=True)
     build.add_argument("--out", required=True)
     build.add_argument("--seed", type=int, default=None)
 
@@ -237,6 +237,9 @@ def cmd_experiment(args) -> int:
     if not os.path.isdir(directory or "."):
         raise ValidationError(f"--out {args.out!r}: {directory!r} is not a directory")
     json_path, csv_path = base + ".json", base + ".csv"
+    for path in (json_path, csv_path):
+        if os.path.isdir(path):
+            raise ValidationError(f"--out {args.out!r}: {path!r} is a directory")
     report = harness.run_experiment(config)
     with open(json_path, "w") as fh:
         fh.write(report.to_json())
@@ -253,20 +256,18 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    # exactly the keys run_experiment writes: str(index) for every dataset of the grid
+    expected = [str(index) for index in DATASET_INDICES]
     try:
         with open(args.report) as fh:
-            doc = json.load(fh)
-        keys, means = {}, {}  # dataset index -> its key in the report, its mean
-        for key, result in doc["datasets"].items():
-            index = int(key)
-            if index in keys:  # "1" and "01", " 1" or "+1"
-                raise DataFormatError(f"{args.report}: dataset keys {keys[index]!r} and "
-                                      f"{key!r} both name dataset {index}")
-            keys[index], means[index] = key, result["metrics"][args.metric]["mean"]
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+            datasets = json.load(fh)["datasets"]
+        if sorted(datasets) != expected:
+            raise DataFormatError(f"{args.report}: expected dataset keys {expected}, "
+                                  f"found {sorted(datasets)}")
+        means = {index: datasets[str(index)]["metrics"][args.metric]["mean"]
+                 for index in DATASET_INDICES}
+    except (KeyError, TypeError, ValueError) as e:
         raise DataFormatError(f"{args.report}: not a valid experiment report: {e}") from e
-    if not means:
-        raise DataFormatError(f"{args.report}: the report has no datasets")
     for index, mean in means.items():
         # json reads NaN, Infinity and integers beyond the float range; bool is not a number
         if mean is not None and not (type(mean) in (int, float)

@@ -14,10 +14,11 @@ import pytest
 
 import fairaudit
 from fairaudit import ALL_BIAS_SPECS, cli, errors
-from fairaudit.harness import build_base, load_config, stable_hash, trial_dataset
+from fairaudit.harness import (build_base, load_config, rank_datasets, run_experiment,
+                               stable_hash, trial_dataset)
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
-from fairaudit.metrics import nmi_from_counts
+from fairaudit.metrics import METRIC_NAMES, nmi_from_counts
 from oracles import (ORACLES, cell_counts_exact_oracle, disparate_impact_oracle,
                      equal_misopportunity_oracle, equal_opportunity_oracle,
                      group_mean_difference_exact_oracle, read_predictions_oracle,
@@ -430,11 +431,32 @@ class TestExperiment:
                      str(tmp_path / "results")]) == 0
         assert (tmp_path / "results.json").exists() and (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("ext", [".json", ".csv"])
+    def test_out_file_that_is_a_directory_exits_2_before_any_trial(
+            self, config_file, tmp_path, monkeypatch, capsys, ext):
+        # unchecked, the grid would run and write res.json before the res.csv write failed
+        calls = []
+        monkeypatch.setattr(fairaudit.harness, "run_experiment",
+                            lambda config: calls.append(config))
+        (tmp_path / f"res{ext}").mkdir()
+        out = str(tmp_path / "res")
+        assert main(["experiment", "--config", config_file, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out!r}: {out + ext!r} is a directory\n"
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == sorted(["small.cfg", f"res{ext}"])
+        assert os.listdir(tmp_path / f"res{ext}") == []
+
     def test_trials_option_is_gone(self, config_file, tmp_path, capsys):
         assert main(["experiment", "--config", config_file, "--out", str(tmp_path / "r"),
                      "--trials", "1"]) == 2
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+def write_rank_report(path, means):
+    """An experiment report as rank reads it: dataset key -> its nmi mean."""
+    path.write_text(json.dumps({"datasets": {k: {"metrics": {"nmi": {"mean": v}}}
+                                             for k, v in means.items()}}))
 
 
 class TestRank:
@@ -444,18 +466,22 @@ class TestRank:
         main(["experiment", "--config", one_trial_config, "--out", str(out)])
         return str(tmp_path / "rep.json")
 
-    def test_rank_prints_ordering(self, report_json, capsys):
-        assert main(["rank", "--report", report_json,
-                     "--metric", "mean_score_diff"]) == 0
-        out = capsys.readouterr().out
-        assert "least to most biased" in out
-        assert " < " in out
+    def test_rank_prints_what_rank_datasets_returns(self, one_trial_config, report_json,
+                                                    capsys):
+        report = run_experiment(load_config(one_trial_config))
+        capsys.readouterr()
+        for metric in METRIC_NAMES:
+            order, excluded = rank_datasets(report, metric)
+            assert sorted(order + excluded) == [1, 2, 3, 4], metric
+            want = f"{metric}: least to most biased: " + " < ".join(map(str, order)) + "\n"
+            if excluded:
+                want += "excluded (undefined mean): " + ", ".join(map(str, excluded)) + "\n"
+            assert main(["rank", "--report", report_json, "--metric", metric]) == 0
+            assert capsys.readouterr().out == want, metric
 
     def test_rank_names_datasets_with_undefined_means(self, tmp_path, capsys):
         path = tmp_path / "r.json"
-        means = {"1": 0.25, "2": None, "3": -0.125, "4": None}
-        path.write_text(json.dumps({"datasets": {k: {"metrics": {"nmi": {"mean": v}}}
-                                                 for k, v in means.items()}}))
+        write_rank_report(path, {"1": 0.25, "2": None, "3": -0.125, "4": None})
         assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 0
         assert capsys.readouterr().out == ("nmi: least to most biased: 3 < 1\n"
                                            "excluded (undefined mean): 2, 4\n")
@@ -469,40 +495,45 @@ class TestRank:
     def test_rank_invalid_metric_exits_2(self, report_json):
         assert main(["rank", "--report", report_json, "--metric", "bogus"]) == 2
 
-    def test_rank_malformed_report_exits_3(self, tmp_path):
+    # experiment writes exactly the keys "1" to "4"; parsed with int(), the first six
+    # would be ranked, "1_0" as dataset 10 and "\u0663" as dataset 3
+    @pytest.mark.parametrize("keys", [
+        ("-7", "99"), ("1", "2", "3", "1_0"), ("1", "2", "\u0663", "4"),
+        ("0", "1", "2", "3"), ("1", "2", "3", "4", "5"), ("1", "3"), (),
+        *[(key, "2", "3", "4") for key in ("01", " 1", "+1")],
+        *[("1", "2", "3", "4", key) for key in ("01", " 1", "+1")]])
+    def test_rank_keys_other_than_the_grids_exit_3(self, tmp_path, capsys, keys):
+        path = tmp_path / "r.json"
+        write_rank_report(path, {key: i / 10 for i, key in enumerate(keys)})
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: expected dataset keys ['1', '2', '3', '4'], "
+                                f"found {sorted(keys)}\n")
+
+    @pytest.mark.parametrize("doc, error", [
+        ([], "list indices must be integers or slices, not str"),
+        ({"datasets": 5}, "'int' object is not iterable"),
+        ({"datasets": list("1234")}, "list indices must be integers or slices, not str"),
+        ({"datasets": dict.fromkeys("1234", {})}, "'metrics'"),
+        ({"datasets": dict.fromkeys("1234", 2)}, "'int' object is not subscriptable"),
+        ({"datasets": dict.fromkeys("1234", {"metrics": {}})}, "'nmi'")])
+    def test_rank_malformed_report_exits_3(self, tmp_path, capsys, doc, error):
         path = tmp_path / "junk.json"
-        for doc in ({"datasets": {"1": {}}}, [], {"datasets": []}, {"datasets": {"1": 2}},
-                    {"datasets": {"x": {"metrics": {"nmi": {"mean": 0.1}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": "0.1"}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": True}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": 0.1}}},
-                                  "2": {"metrics": {"nmi": {"mean": math.nan}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": math.inf}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": -math.inf}}}}},
-                    {"datasets": {"1": {"metrics": {"nmi": {"mean": 10 ** 400}}}}}):
-            path.write_text(json.dumps(doc))
-            assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3, doc
+        path.write_text(json.dumps(doc))
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a valid experiment report: {error}\n")
 
-    def test_rank_report_with_no_datasets_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"datasets": {}}))
+    @pytest.mark.parametrize("mean", ["0.1", True, math.nan, math.inf, -math.inf, 10 ** 400])
+    def test_rank_mean_neither_finite_nor_null_exits_3(self, tmp_path, capsys, mean):
+        path = tmp_path / "junk.json"
+        write_rank_report(path, {"1": 0.1, "2": 0.2, "3": mean, "4": 0.4})
         assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}: the report has no datasets\n"
-
-    @pytest.mark.parametrize("clash", ["01", " 1", "+1"])
-    def test_rank_keys_naming_one_dataset_exit_3(self, tmp_path, capsys, clash):
-        # before, the later key's mean silently replaced the earlier one's
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"datasets": {
-            k: {"metrics": {"nmi": {"mean": v}}}
-            for k, v in (("1", 0.1), ("2", 0.2), (clash, 0.3))}}))
-        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: dataset keys '1' and {clash!r} both name dataset 1\n")
+        assert captured.err == (f"error: {path}: dataset 3: mean {mean!r} "
+                                "is neither a finite number nor null\n")
 
 
 def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):

@@ -255,12 +255,23 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError where json.load
+    would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def cmd_rank(args) -> int:
     # exactly the keys run_experiment writes: str(index) for every dataset of the grid
     expected = [str(index) for index in DATASET_INDICES]
     try:
-        with open(args.report) as fh:
-            datasets = json.load(fh)["datasets"]
+        with open(args.report, encoding="utf-8-sig") as fh:
+            datasets = json.load(fh, object_pairs_hook=_unique_keys)["datasets"]
         if sorted(datasets) != expected:
             raise DataFormatError(f"{args.report}: expected dataset keys {expected}, "
                                   f"found {sorted(datasets)}")

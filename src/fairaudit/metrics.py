@@ -171,7 +171,7 @@ FAIR_POINTS = {name: fair_point for name, (fair_point, _) in METRICS.items()}
 @dataclass
 class MetricReport:
     values: dict[str, MetricValue]
-    cell_counts: dict[tuple[int, int, int], int]  # (s, y, yhat) -> count
+    cell_counts: np.ndarray  # the (2, 2, 2) table cell_counts returns, indexed [s, y, yhat]
 
     def metric(self, name: str) -> MetricValue:
         if name not in self.values:
@@ -181,8 +181,8 @@ class MetricReport:
     def to_json_dict(self) -> dict:
         return {
             "metrics": {name: mv.to_json_dict() for name, mv in self.values.items()},
-            "cell_counts": {f"s{s}_y{y}_yhat{p}": c
-                            for (s, y, p), c in sorted(self.cell_counts.items())},
+            "cell_counts": {f"s{s}_y{y}_yhat{p}": c.item()
+                            for (s, y, p), c in np.ndenumerate(self.cell_counts)},
         }
 
 
@@ -191,4 +191,4 @@ def audit(data: GroupedOutcomes) -> MetricReport:
     counts = cell_counts(data)
     by_group = _by_group(data)
     return MetricReport({name: fn(counts, by_group) for name, (_, fn) in METRICS.items()},
-                        {cell: int(n) for cell, n in np.ndenumerate(counts)})
+                        counts)

@@ -194,7 +194,7 @@ def fit(train: Population, params: ModelParams) -> Model:
     l2 = lam * (1.0 - alpha)
     X2 = X * X
     # the global bound 1/4 as (curvature, its column terms, its total), as cd_pass takes them
-    bound = (0.25, (0.25 * (_column_sums(X2) / n)).tolist(), 0.25 * n)
+    bound = (0.25, 0.25 * (_column_sums(X2) / n), 0.25 * n)
 
     def cd_pass(beta, b, p, curvature, wx2, w_sum):
         """One cyclic pass on the weighted quadratic approximation at (beta, b).
@@ -203,7 +203,7 @@ def fit(train: Population, params: ModelParams) -> Model:
         of curvature * x_j**2 and w_sum the curvature's total over the rows.
         Returns (beta, b, max coefficient change).
         """
-        beta = beta.tolist()
+        beta = beta.copy()  # the caller's iterate stays for the fallback pass
         # residual of the working response: curvature * (z - X beta - b) = y - p here
         wr = y - p
         max_delta = 0.0
@@ -220,7 +220,7 @@ def fit(train: Population, params: ModelParams) -> Model:
                 max_delta = max(max_delta, abs(d))
         db = float(wr.sum()) / w_sum
         b += db
-        return np.array(beta), b, max(max_delta, abs(db))
+        return beta, b, max(max_delta, abs(db))
 
     beta = np.zeros(m)
     b = 0.0
@@ -229,15 +229,13 @@ def fit(train: Population, params: ModelParams) -> Model:
     eta = X @ beta + b
     obj = _objective(eta, y, beta, lam, alpha)
     history = [obj]
-    converged = False
-    iters = 0
     for iters in range(1, params.max_iters + 1):
         p = expit(eta)
         # Newton weights clip(p * (1 - p), 1e-6, None), which numpy computes as a maximum
         w = np.maximum(p * (1.0 - p), 1e-6)
         # try the Newton step; if the objective is non-finite or would rise, take the
         # majorizing bound's step, which cannot increase it
-        for terms in ((w, (X2.T @ w / n).tolist(), float(w.sum())), bound):
+        for terms in ((w, X2.T @ w / n, float(w.sum())), bound):
             new_beta, new_b, max_delta = cd_pass(beta, b, p, *terms)
             new_eta = X @ new_beta + new_b
             new_obj = _objective(new_eta, y, new_beta, lam, alpha)
@@ -248,8 +246,9 @@ def fit(train: Population, params: ModelParams) -> Model:
         beta, b, eta, obj = new_beta, new_b, new_eta, new_obj
         history.append(obj)
         if max_delta < params.tolerance:
-            converged = True
             break
+    # max_iters >= 1, so the loop ran and max_delta is the last step's
+    converged = bool(max_delta < params.tolerance)
 
     return Model(coefficients=beta, intercept=float(b), feature_means=mu,
                  feature_scales=sd, params=params, converged=converged,

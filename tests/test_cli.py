@@ -525,6 +525,30 @@ class TestRank:
         assert capsys.readouterr().err == (
             f"error: {path}: not a valid experiment report: {error}\n")
 
+    # json.load alone keeps a repeated key's last value, so the first report would rank
+    # 1 < 2 < 3 < 4 with dataset 1's mean 0.9 dropped; the second repeats "mean"
+    @pytest.mark.parametrize("entries, key", [
+        ([("1", "0.9"), ("1", "0.1"), ("2", "0.2"), ("3", "0.3"), ("4", "0.4")], "1"),
+        ([("1", "0.1"), ("2", "0.2"), ("3", '0.9, "mean": 0.3'), ("4", "0.4")], "mean")])
+    def test_rank_repeated_key_exits_3(self, tmp_path, capsys, entries, key):
+        path = tmp_path / "r.json"
+        path.write_text('{"datasets": {' + ", ".join(
+            f'"{k}": {{"metrics": {{"nmi": {{"mean": {mean}}}}}}}' for k, mean in entries) + "}}")
+        assert main(["rank", "--report", str(path), "--metric", "nmi"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: not a valid experiment report: "
+                                f"repeated key {key!r}\n")
+
+    def test_rank_ignores_a_byte_order_mark(self, report_json, tmp_path, capsys):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(Path(report_json).read_text(encoding="utf-8").encode("utf-8-sig"))
+        for metric in METRIC_NAMES:
+            assert main(["rank", "--report", report_json, "--metric", metric]) == 0
+            plain = capsys.readouterr()
+            assert main(["rank", "--report", str(bom), "--metric", metric]) == 0
+            assert capsys.readouterr() == plain, metric
+
     @pytest.mark.parametrize("mean", ["0.1", True, math.nan, math.inf, -math.inf, 10 ** 400])
     def test_rank_mean_neither_finite_nor_null_exits_3(self, tmp_path, capsys, mean):
         path = tmp_path / "junk.json"

@@ -206,7 +206,7 @@ class TestAuditReport:
         assert report.metric("disparate_impact").value == pytest.approx(3 / 7, abs=1e-12)
         assert report.metric("nmi").value == pytest.approx(0.1187, abs=1e-3)
         assert all(report.metric(n).status == "ok" for n in METRIC_NAMES)
-        assert sum(report.cell_counts.values()) == 200
+        assert report.cell_counts.sum() == 200
 
     def test_single_group_partial_report(self):
         data = build_outcomes([(1, 1, 1, 5), (1, 0, 0, 5)])
@@ -364,7 +364,7 @@ class TestExactBits:
         report = audit(data)
         counts = cell_counts_exact_oracle(data.group, data.label, data.label_hat)
         assert np.array_equal(cell_counts(data), counts)
-        assert report.cell_counts == {cell: int(c) for cell, c in np.ndenumerate(counts)}
+        assert np.array_equal(report.cell_counts, counts)
         both_groups = counts[0].any() and counts[1].any()
         for name, values in (("mean_score_diff", data.score_hat),
                              ("residual_diff", data.score_hat - data.label)):

@@ -139,6 +139,16 @@ class TestFit:
                                      params.lam, params.alpha)
         assert viol < 1e-4
 
+    def test_converged_exactly_when_the_last_step_meets_the_tolerance(self):
+        data = balanced_labeled(250, 13)
+        params = ModelParams(lam=0.01, alpha=0.5, max_iters=10_000)
+        n = fit(data, params).n_iters
+        assert 1 < n < params.max_iters
+        at_n = fit(data, replace(params, max_iters=n))
+        assert at_n.converged is True and at_n.n_iters == n
+        short = fit(data, replace(params, max_iters=n - 1))
+        assert short.converged is False and short.n_iters == n - 1
+
     def test_subgradient_violation_at_zero_coefficients(self):
         # at beta = 0 a coefficient's condition is |g_j| <= lam * alpha, so the
         # violation is the larger of |g_b| and each excess |g_j| - lam * alpha

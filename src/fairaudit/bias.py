@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import Population, write_population_csv
-from .errors import DegenerateDatasetError, ValidationError, in_unit, is_real, require
+from .errors import DegenerateDatasetError, ValidationError, in_unit, require, require_types
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class LabelPolicy:
 
     def __post_init__(self):
         require(self, "threshold_group0 threshold_group1", in_unit, "lie in [0, 1]")
-        require(self, "threshold_group0 threshold_group1", is_real, "be a real number")
+        require_types(self)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SamplePolicy:
     def __post_init__(self):
         names = "cutoff p_group0_high p_group0_low p_group1_high p_group1_low"
         require(self, names, in_unit, "lie in [0, 1]")
-        require(self, names, is_real, "be a real number")
+        require_types(self)
 
 
 # ExperimentConfig's default policies

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDatasetError, ValidationError, in_unit, is_int, is_real, require
+from .errors import DegenerateDatasetError, ValidationError, in_unit, require, require_types
 
 # scores are clamped into [SCORE_CLAMP, 1 - SCORE_CLAMP] before the logit
 SCORE_CLAMP = 1e-6
@@ -146,9 +146,7 @@ class PopulationSpec:
         require(self, "proxy_strength", in_unit, "lie in [0, 1]")
         require(self, "noise_scale score_concentration", lambda v: v > 0 and math.isfinite(v),
                 "be positive and finite")
-        require(self, "n_group0 n_group1 feature_dim seed", is_int, "be an integer")
-        require(self, "target_positive_rate_group0 target_positive_rate_group1 proxy_strength "
-                "noise_scale score_concentration", is_real, "be a real number")
+        require_types(self)
         require(self, "seed", lambda v: v >= 0, "be nonnegative")
 
 

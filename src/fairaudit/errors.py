@@ -1,10 +1,11 @@
-"""The toolkit's exception hierarchy, and `require`, which checks config fields.
+"""The toolkit's exception hierarchy, and `require` and `require_types`, the config checks.
 
 Each class's `exit_code` is what the command line returns for it: 2 for a
 ValidationError, 4 for a NumericalFailureError, 3 for any other (data) error. An
 experiment whose dataset fails every trial exits with that dataset's first trial's code."""
 
 import numbers
+from dataclasses import fields
 
 
 class FairauditError(Exception):
@@ -59,11 +60,17 @@ def in_unit(value) -> bool:
     return 0.0 <= value <= 1.0
 
 
-def is_int(value) -> bool:
-    """Whether value is an integer, a numpy one included, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# the class an int or a float field's value must be an instance of, and its name
+_NUMBERS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 
 
-def is_real(value) -> bool:
-    """Whether value is a real number, a numpy one included, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def require_types(owner) -> None:
+    """require, for each field of the dataclass owner in declaration order, that its value
+    is an instance of the class its annotation (a string or a class) names: numbers.Integral
+    for `int` and numbers.Real for `float`, so numpy's numbers count, and its default's class
+    for any other. Only a bool field takes a bool."""
+    for f in fields(owner):
+        cls = type(f.default)
+        cls, noun = _NUMBERS.get(getattr(f.type, "__name__", f.type), (cls, f"a {cls.__name__}"))
+        require(owner, f.name, lambda v: isinstance(v, cls)
+                and (cls is bool or not isinstance(v, bool)), f"be {noun}")

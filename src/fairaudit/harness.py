@@ -20,8 +20,8 @@ from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POL
                    UNBIASED_SAMPLE_POLICY, LabelPolicy, SamplePolicy, build_dataset)
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
-from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError,
-                     is_int, require)
+from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, require,
+                     require_types)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
 from .model import Model, ModelParams, fit, predict, split
 
@@ -64,12 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require(self, "experiment", lambda v: v in ("A", "B"), "be 'A' or 'B'")
-        for target in _SECTIONS.values():
-            kind = type(getattr(ExperimentConfig, target))
-            require(self, target, lambda v: isinstance(v, kind), f"be a {kind.__name__}")
         require(self, "trials min_cell_count", lambda v: v >= 1, "be >= 1")
         # negative base seeds are valid: stable_hash mixes any integer into a seed
-        require(self, "trials min_cell_count base_seed", is_int, "be an integer")
+        require_types(self)
 
     def to_dict(self) -> dict:
         """The config under its config-file keys: [experiment] at the top level by

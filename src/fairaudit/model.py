@@ -19,7 +19,7 @@ import numpy as np
 
 from .datagen import Population
 from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, in_unit,
-                     is_int, is_real, require)
+                     require, require_types)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ class ModelParams:
         require(self, "max_iters tolerance", lambda v: v > 0, "be positive")
         require(self, "train_fraction", lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
         require(self, "prediction_threshold", in_unit, "lie in [0, 1]")
-        require(self, "max_iters", is_int, "be an integer")
-        require(self, "lam alpha tolerance train_fraction prediction_threshold", is_real,
-                "be a real number")
-        require(self, "include_group_feature", lambda v: isinstance(v, bool), "be a bool")
+        require_types(self)
 
 
 @dataclass

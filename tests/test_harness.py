@@ -3,7 +3,7 @@ import csv
 import json
 import math
 import weakref
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -194,6 +194,34 @@ class TestConfig:
         with pytest.raises(ValidationError) as raised:
             replace(self.VALID[cls], **{name: value})
         assert str(raised.value) == f"{name} must {rule}, got {value}"
+
+    INTS = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type == "int"]
+
+    @pytest.mark.parametrize("cls,name", INTS, ids=lambda v: getattr(v, "__name__", v))
+    def test_int_fields_reject_bools(self, cls, name):
+        with pytest.raises(ValidationError, match=f"^{name} must .*, got True$"):
+            replace(self.VALID[cls], **{name: True})
+
+    def test_a_field_a_subclass_adds_is_checked_by_its_annotation(self):
+        @dataclass(frozen=True)
+        class Extended(ModelParams):
+            extra: int = 0
+
+        with pytest.raises(ValidationError, match=r"^extra must be an integer, got 1\.5$"):
+            Extended(extra=1.5)
+        assert Extended(extra=np.int64(2)).extra == 2
+
+    # of two bad fields, the range rules name theirs first, then the types in declaration order
+    @pytest.mark.parametrize("message, make", [
+        pytest.param("lam must be a real number, got True",
+                     lambda: ModelParams(lam=True, max_iters=1.5), id="types in order"),
+        pytest.param("trials must be >= 1, got 0",
+                     lambda: ExperimentConfig(population=math.nan, trials=0), id="range first"),
+    ])
+    def test_which_of_two_bad_fields_is_named(self, message, make):
+        with pytest.raises(ValidationError) as raised:
+            make()
+        assert str(raised.value) == message
 
     def test_float_fields_take_numpy_floats_and_ints(self):
         policy = LabelPolicy(np.float32(0.25), np.int64(1))
@@ -456,7 +484,7 @@ class TestConfigSchema:
         assert load_config(path) == config
 
     def test_numpy_fields_write_the_json_of_python_numbers(self):
-        # is_int and is_real accept numpy numbers; the report's config block must
+        # int and float fields accept numpy numbers; the report's config block must
         # still be plain JSON, byte-equal to the same config given Python numbers
         def config(i64, i32, f32, f64):
             return ExperimentConfig(

@@ -22,12 +22,17 @@ from . import harness
 # cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
 from .bias import build_dataset, write_labeled_csv
 from .datagen import generate_population, write_population_csv
-from .errors import DataFormatError, FairauditError, ValidationError, in_unit
+from .errors import DataFormatError, FairauditError, ValidationError, in_unit, parse_number
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 DATASET_INDICES = range(1, len(harness.ALL_BIAS_SPECS) + 1)  # the 2x2 grid's datasets
+
+
+def integer(text: str) -> int:
+    """An integer argument by parse_number's rule; argparse says invalid integer value: '1_0'."""
+    return parse_number(text, int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,13 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic population CSV")
     gen.add_argument("--config", required=True, help="experiment config file")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--seed", type=int, default=None, help="override the base seed")
+    gen.add_argument("--seed", type=integer, default=None, help="override the base seed")
 
     build = sub.add_parser("build", help="build one bias-grid dataset as labeled CSV")
     build.add_argument("--config", required=True)
-    build.add_argument("--dataset", type=int, choices=DATASET_INDICES, required=True)
+    build.add_argument("--dataset", type=integer, choices=DATASET_INDICES, required=True)
     build.add_argument("--out", required=True)
-    build.add_argument("--seed", type=int, default=None)
+    build.add_argument("--seed", type=integer, default=None)
 
     aud = sub.add_parser("audit", help="audit a predictions CSV")
     aud.add_argument("--input", required=True,
@@ -56,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True,
                      help="output basename; writes <out>.json and <out>.csv")
-    exp.add_argument("--seed", type=int, default=None)
+    exp.add_argument("--seed", type=integer, default=None)
 
     rank = sub.add_parser("rank", help="rank datasets by deviation from the fair point")
     rank.add_argument("--report", required=True, help="experiment report JSON")
@@ -128,12 +133,10 @@ def _any_field_length():
 
 
 def _parses(field: str, dtype) -> bool:
-    """Whether _loadtxt's converter for dtype accepts the field."""
-    text = field.strip()
-    if not text.isascii() or "_" in text:
-        return False
+    """Whether _loadtxt's converter for dtype accepts the field: parse_number's rule,
+    and an int64 column's range."""
     try:
-        value = int(text) if dtype is np.int64 else float(text)
+        value = parse_number(field, int if dtype is np.int64 else float)
     except ValueError:
         return False
     return dtype is not np.int64 or -2**63 <= value < 2**63
@@ -157,7 +160,8 @@ def _first_bad_field(path, positions) -> str | None:
                     where = f"line {reader.line_num}: column {name}"
                     if not _parses(row[i], dtype):
                         return f"{where}: could not convert {row[i]!r} to {np.dtype(dtype)}"
-                    if not in_unit(float(row[i])):  # an integer that parses: exactly 0 or 1
+                    # an integer that parses lies in [0, 1] exactly when it is 0 or 1
+                    if not in_unit(parse_number(row[i], float)):
                         rule = "be 0 or 1" if dtype is np.int64 else "lie in [0, 1]"
                         return f"{where}: must {rule}, got {row[i]!r}"
         except csv.Error as e:

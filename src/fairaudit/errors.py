@@ -1,4 +1,5 @@
-"""The toolkit's exception hierarchy, and `require` and `require_types`, the config checks.
+"""The toolkit's exception hierarchy; `require` and `require_types`, the config checks;
+and `parse_number`, the one rule by which every number the command line reads is parsed.
 
 Each class's `exit_code` is what the command line returns for it: 2 for a
 ValidationError, 4 for a NumericalFailureError, 3 for any other (data) error. An
@@ -74,3 +75,16 @@ def require_types(owner) -> None:
         cls, noun = _NUMBERS.get(getattr(f.type, "__name__", f.type), (cls, f"a {cls.__name__}"))
         require(owner, f.name, lambda v: isinstance(v, cls)
                 and (cls is bool or not isinstance(v, bool)), f"be {noun}")
+
+
+def parse_number(text: str, kind):
+    """text as kind, int or float, by np.loadtxt's rule for a CSV field: Python's int or
+    float of the stripped text, less the spellings only Python reads (1_0, non-ASCII digits).
+    Raises ValueError(f"could not convert {text!r} to {kind.__name__}") for any other text."""
+    stripped = text.strip()
+    if stripped.isascii() and "_" not in stripped:
+        try:
+            return kind(stripped)
+        except ValueError:  # also an int of more than Python's limit on digits
+            pass
+    raise ValueError(f"could not convert {text!r} to {kind.__name__}")

@@ -20,8 +20,8 @@ from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POL
                    UNBIASED_SAMPLE_POLICY, LabelPolicy, SamplePolicy, build_dataset)
 from .datagen import (Population, PopulationSpec, generate_population,
                       make_base_dataset_A, make_base_dataset_B)
-from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError, require,
-                     require_types)
+from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError,
+                     parse_number, require, require_types)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
 from .model import Model, ModelParams, fit, predict, split
 
@@ -114,8 +114,8 @@ _CONFIG_NAMES = {
 def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from an INI-style config file.
 
-    Each value is parsed as the type of its default; keys a section leaves
-    out keep their defaults. Errors name the file, section and key.
+    Each number is read by parse_number as its default's type; keys a section
+    leaves out keep their defaults. Errors name the file, section and key.
     """
     # no section name can be empty, so [DEFAULT] is an ordinary, unknown section
     parser = configparser.ConfigParser(default_section="")
@@ -138,10 +138,11 @@ def load_config(path) -> ExperimentConfig:
             base = getattr(config, target) if target else config
             values = {}
             for key in section:
-                default = getattr(base, keys[key])
+                kind = type(getattr(base, keys[key]))
                 try:
-                    values[keys[key]] = (section.getboolean(key) if type(default) is bool
-                                         else type(default)(section[key]))
+                    values[keys[key]] = (section.getboolean(key) if kind is bool
+                                         else section[key] if kind is str
+                                         else parse_number(section[key], kind))
                 except (ValueError, configparser.Error) as e:
                     raise ValidationError(f"invalid config {path}: [{name}] {key}: {e}") from e
             try:

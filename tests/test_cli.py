@@ -148,6 +148,19 @@ class TestBuild:
         assert main(["build", "--config", config_file, "--dataset", "5",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    # an integer argument is read as a predictions CSV field is: the spellings only
+    # Python's int reads, a `_` and non-ASCII digits, are usage errors
+    @pytest.mark.parametrize("command, option, value", [
+        ("build", "--dataset", "\u0663"), ("build", "--dataset", "0_3"),
+        ("generate", "--seed", "1_0"), ("experiment", "--seed", "\u0661"),
+    ])
+    def test_python_only_integer_argument_exits_2(self, config_file, tmp_path, capsys,
+                                                  command, option, value):
+        out = tmp_path / "out"
+        assert main([command, "--config", config_file, "--out", str(out), option, value]) == 2
+        assert f"argument {option}: invalid integer value: {value!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["small.cfg"]
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_samples_with_build_seed(self, config_file, tmp_path, k):
         # build's own seed scheme, stable_hash(base_seed, k, "build"), matches no trial
@@ -710,7 +723,7 @@ class TestPredictionsReader:
                   "-9223372036854775809", "0.5", " .5 ", "5e-1", "1.", "nan", "-inf",
                   "Infinity", "0.5_0", "0x1p-1", "1e", "\u0660.5", "0.5\x85", "0.5\x01",
                   "\u00bd", "1e999", "--1", "+-1"]
-        for dtype in (np.int64, np.float64):
+        for dtype, kind in ((np.int64, int), (np.float64, float)):
             for field in fields:
                 try:
                     _loadtxt([f"0,{field}"], dtype, [1])
@@ -718,6 +731,14 @@ class TestPredictionsReader:
                 except ValueError:
                     accepted = False
                 assert _parses(field, dtype) == accepted, (field, dtype)
+                # parse_number, which reads configs and arguments, accepts the same
+                # fields, less the int64 column's range
+                try:
+                    value = errors.parse_number(field, kind)
+                except ValueError:
+                    value = None
+                if value is None or kind is float or -2**63 <= value < 2**63:
+                    assert (value is not None) == accepted, (field, kind)
 
     def test_error_scan_agrees_with_reader(self, tmp_path):
         # the scan names a field exactly where the reader, loadtxt then

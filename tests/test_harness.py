@@ -280,6 +280,37 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"invalid config .*: \[experiment\] trials: "):
             load_config(path)
 
+    # a number is read as a predictions CSV field is: the spellings only Python's int
+    # and float read, a `_` and non-ASCII digits, are errors
+    @pytest.mark.parametrize("section,key,text,kind", [
+        ("experiment", "trials", "1_0", "int"),
+        ("experiment", "trials", "\u0661\u0662", "int"),
+        ("experiment", "trials", "\uff12\uff10", "int"),
+        ("model", "lambda", "0_01", "float"),
+        ("population", "noise_scale", "\u0663.\u0665", "float"),
+        ("model", "lambda", "\uff10.\uff10\uff11", "float"),
+    ])
+    def test_load_config_rejects_python_only_numbers(self, tmp_path, section, key, text, kind):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == (f"invalid config {path}: [{section}] {key}: "
+                                   f"could not convert {text!r} to {kind}")
+
+    @pytest.mark.parametrize("section,key,text,value", [
+        ("model", "lambda", " 0.01 ", 0.01), ("model", "lambda", "1e-2", 0.01),
+        ("model", "lambda", ".01", 0.01), ("population", "noise_scale", "5.", 5.0),
+        ("experiment", "trials", "+20", 20),
+    ])
+    def test_load_config_reads_plain_numbers(self, tmp_path, section, key, text, value):
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"[{section}]\n{key} ={text}\n")
+        target, keys = _CONFIG_NAMES[section]
+        config = load_config(path)
+        read = getattr(getattr(config, target) if target else config, keys[key])
+        assert read == value and type(read) is type(value)
+
     def test_load_config_bad_interpolation_names_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[experiment]\nname = 5%\n")

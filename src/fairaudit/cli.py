@@ -78,7 +78,7 @@ def _load_config(path, seed_override=None) -> harness.ExperimentConfig:
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config, args.seed)
-    pop = generate_population(harness.population_spec(config))
+    pop = generate_population(config.population, harness.population_seed(config))
     write_population_csv(pop, args.out)
     print(f"wrote {len(pop)} records to {args.out}")
     print(f"{'':12s} {'score>=0.5':>12s} {'score<0.5':>12s} {'total':>10s} {'rate':>8s}")

@@ -130,24 +130,22 @@ class PopulationSpec:
 
     n_group0: int
     n_group1: int
-    target_positive_rate_group0: float
-    target_positive_rate_group1: float
+    positive_rate_group0: float
+    positive_rate_group1: float
     feature_dim: int = 5
     proxy_strength: float = 0.8
     noise_scale: float = 1.0
     score_concentration: float = 1.0  # a + b of the per-group Beta score family
-    seed: int = 0
 
     def __post_init__(self):
         require(self, "n_group0 n_group1", lambda v: v > 0, "be positive")
-        require(self, "target_positive_rate_group0 target_positive_rate_group1",
+        require(self, "positive_rate_group0 positive_rate_group1",
                 lambda v: 0.0 < v < 1.0, "lie strictly inside (0, 1)")
         require(self, "feature_dim", lambda v: v >= 2, "be >= 2")
         require(self, "proxy_strength", in_unit, "lie in [0, 1]")
         require(self, "noise_scale score_concentration", lambda v: v > 0 and math.isfinite(v),
                 "be positive and finite")
         require_types(self)
-        require(self, "seed", lambda v: v >= 0, "be nonnegative")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
@@ -251,21 +249,19 @@ def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
                            np.clip(low, 0.0, np.nextafter(0.5, 0.0), out=low)])
 
 
-def generate_population(spec: PopulationSpec) -> Population:
-    """Generate a seeded population calibrated to the spec's marginal rates.
+def generate_population(spec: PopulationSpec, seed: int) -> Population:
+    """Generate a population from seed, calibrated to the spec's marginal rates.
 
     Informative features are noisy linear functions of logit(score); the last
     feature is a proxy correlated with group at spec.proxy_strength.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     d = spec.feature_dim
     slopes = rng.uniform(0.5, 1.5, size=d - 1)
 
     scores = np.concatenate([
-        _group_scores(rng, spec.n_group0, spec.target_positive_rate_group0,
-                      spec.score_concentration),
-        _group_scores(rng, spec.n_group1, spec.target_positive_rate_group1,
-                      spec.score_concentration)])
+        _group_scores(rng, spec.n_group0, spec.positive_rate_group0, spec.score_concentration),
+        _group_scores(rng, spec.n_group1, spec.positive_rate_group1, spec.score_concentration)])
     order = rng.permutation(scores.size)
     scores = scores[order]
     # group 0 fills positions [0, n_group0) before the shuffle

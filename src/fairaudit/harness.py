@@ -1,7 +1,8 @@
 """Experiment orchestration: the 2x2 bias grid, seeded trials, and aggregation.
 
 Seed scheme: every stream is derived from the config's base seed with
-stable_hash, a SHA-256 based mix of (base_seed, *labels). Trial t of dataset k
+stable_hash, a SHA-256 based mix of (base_seed, *labels). The population is
+drawn with stable_hash(base_seed, "population"), and trial t of dataset k
 (ALL_BIAS_SPECS[k - 1]) uses stable_hash(base_seed, k, t), so dataset cells and
 trials are reproducible independently of execution order.
 """
@@ -46,7 +47,7 @@ ALL_BIAS_SPECS = (BiasSpec(False, False), BiasSpec(True, False),
 
 DEFAULT_POPULATION = PopulationSpec(
     n_group0=39780, n_group1=3551,
-    target_positive_rate_group0=0.5408, target_positive_rate_group1=0.1217)
+    positive_rate_group0=0.5408, positive_rate_group1=0.1217)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,17 @@ _SECTIONS = {"population": "population",
              "sample_policy.biased": "biased_sample_policy",
              "sample_policy.unbiased": "unbiased_sample_policy",
              "model": "model"}
-# the fields whose config key is not their own name
-_RENAMED = {"experiment": "name", "lam": "lambda",
-            "target_positive_rate_group0": "positive_rate_group0",
-            "target_positive_rate_group1": "positive_rate_group1"}
+# the fields whose config key is not their own name: lambda is a Python keyword,
+# and the report's JSON writes the experiment's name as "experiment"
+_RENAMED = {"experiment": "name", "lam": "lambda"}
 # every config section: the ExperimentConfig field it sets ("" = ExperimentConfig
 # itself) and {config key: field name}; load_config and to_dict both read it, and
-# any other section or key is rejected. A field that holds a section is no key,
-# nor is PopulationSpec.seed, which population_spec draws from base_seed.
+# any other section or key is rejected. A field that holds a section is no key.
 _CONFIG_NAMES = {
     section: (target, {_RENAMED.get(f.name, f.name): f.name
                        for f in fields(getattr(ExperimentConfig, target) if target
                                        else ExperimentConfig)
-                       if f.name not in (*_SECTIONS.values(), "seed")})
+                       if f.name not in _SECTIONS.values()})
     for section, target in {"experiment": "", **_SECTIONS}.items()}
 
 
@@ -167,14 +166,14 @@ def bundled_config_path(name: str):
     return files("fairaudit").joinpath("configs", name)
 
 
-def population_spec(config: ExperimentConfig) -> PopulationSpec:
-    """The config's population spec, seeded from its base seed."""
-    return replace(config.population, seed=stable_hash(config.base_seed, "population"))
+def population_seed(config: ExperimentConfig) -> int:
+    """The seed the config's population is drawn with."""
+    return stable_hash(config.base_seed, "population")
 
 
 def build_base(config: ExperimentConfig) -> Population:
     """Generate the population and construct the experiment's base dataset."""
-    pop = generate_population(population_spec(config))
+    pop = generate_population(config.population, population_seed(config))
     if config.experiment == "A":
         return make_base_dataset_A(pop, stable_hash(config.base_seed, "base-A"))
     return make_base_dataset_B(pop)

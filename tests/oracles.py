@@ -143,19 +143,19 @@ def binary_exact_oracle(name, values):
     return values.astype(np.int64, copy=False)
 
 
-def generate_population_exact_oracle(spec):
-    """(id, group, score, features) of generate_population(spec), built with a 0/1
+def generate_population_exact_oracle(spec, seed):
+    """(id, group, score, features) of generate_population(spec, seed), built with a 0/1
     group column concatenated and permuted with the scores, and a new array for
     every step of the logits and features."""
     from fairaudit.datagen import SCORE_CLAMP, _group_scores
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     d = spec.feature_dim
     slopes = rng.uniform(0.5, 1.5, size=d - 1)
 
-    s0 = _group_scores(rng, spec.n_group0, spec.target_positive_rate_group0,
+    s0 = _group_scores(rng, spec.n_group0, spec.positive_rate_group0,
                        spec.score_concentration)
-    s1 = _group_scores(rng, spec.n_group1, spec.target_positive_rate_group1,
+    s1 = _group_scores(rng, spec.n_group1, spec.positive_rate_group1,
                        spec.score_concentration)
     scores = np.concatenate([s0, s1])
     groups = np.concatenate([np.zeros(spec.n_group0, dtype=int),

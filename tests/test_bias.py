@@ -32,10 +32,10 @@ def labeled_rate(data, group):
 @pytest.fixture(scope="module")
 def population():
     spec = PopulationSpec(n_group0=20000, n_group1=20000,
-                          target_positive_rate_group0=0.5408,
-                          target_positive_rate_group1=0.1217,
-                          feature_dim=3, seed=29)
-    return generate_population(spec)
+                          positive_rate_group0=0.5408,
+                          positive_rate_group1=0.1217,
+                          feature_dim=3)
+    return generate_population(spec, 29)
 
 
 class TestLabelPolicy:
@@ -180,8 +180,8 @@ class TestReferencePipeline:
                              ids=["dataset1", "dataset2", "dataset3", "dataset4"])
     def test_build_and_split_match_row_loop(self, spec, base):
         pop = generate_population(PopulationSpec(
-            n_group0=700, n_group1=300, target_positive_rate_group0=0.5408,
-            target_positive_rate_group1=0.1217, feature_dim=3, seed=41))
+            n_group0=700, n_group1=300, positive_rate_group0=0.5408,
+            positive_rate_group1=0.1217, feature_dim=3), 41)
         if base == "A":
             pop = make_base_dataset_A(pop, seed=43)
         train, test = split(trial_dataset(ExperimentConfig(), spec, 7, pop), 0.7, seed=8)

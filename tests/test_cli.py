@@ -14,8 +14,8 @@ import pytest
 
 import fairaudit
 from fairaudit import ALL_BIAS_SPECS, cli, errors
-from fairaudit.harness import (build_base, load_config, rank_datasets, run_experiment,
-                               stable_hash, trial_dataset)
+from fairaudit.harness import (build_base, bundled_config_path, load_config, rank_datasets,
+                               run_experiment, stable_hash, trial_dataset)
 from fairaudit.cli import (COMPRESSED_EXTENSIONS, PREDICTION_COLUMNS, _loadtxt, _parses,
                            _read_predictions_csv, main)
 from fairaudit.metrics import METRIC_NAMES, nmi_from_counts
@@ -105,6 +105,16 @@ class TestGenerate:
         assert main(["generate", "--config", config_file, "--out", str(out)]) == 0
         write_population_csv_oracle(build_base(load_config(config_file)), base)
         assert out.read_bytes() == base.read_bytes()
+
+    def test_population_depends_only_on_its_section_and_seed(self, tmp_path):
+        # the bundled configs differ only outside [population]; no digest is pinned,
+        # since the scores' bits depend on the platform's libm
+        outs = [tmp_path / f"{name}.csv" for name in ("A", "B")]
+        for name, out in zip(("A", "B"), outs):
+            config = str(bundled_config_path(f"experiment_{name}.cfg"))
+            assert main(["generate", "--config", config, "--out", str(out), "--seed", "5"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes().count(b"\r\n") == 1 + 43331
 
     @pytest.mark.parametrize("key", ["positive_rate_group0", "positive_rate_group1"])
     @pytest.mark.parametrize("rate", ["0.999999999999", "1e-12"])

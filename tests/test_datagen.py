@@ -12,17 +12,20 @@ from fairaudit import datagen
 from fairaudit.bias import write_labeled_csv
 from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, _group_scores
 from fairaudit.errors import DegenerateDatasetError, ValidationError
-from fairaudit.harness import bundled_config_path, load_config, population_spec
+from fairaudit.harness import bundled_config_path, load_config, population_seed
 from conftest import make_population, positive_rate, same_population
 from oracles import (beta_shape_oracle, binary_exact_oracle, generate_population_exact_oracle,
                      group_scores_oracle, write_population_csv_oracle)
 
 
+SEED = 11  # the seed the tests draw small_spec's populations with
+
+
 def small_spec(**overrides):
     kwargs = dict(n_group0=12000, n_group1=10000,
-                  target_positive_rate_group0=0.541,
-                  target_positive_rate_group1=0.122,
-                  feature_dim=4, proxy_strength=0.8, noise_scale=1.0, seed=11)
+                  positive_rate_group0=0.541,
+                  positive_rate_group1=0.122,
+                  feature_dim=4, proxy_strength=0.8, noise_scale=1.0)
     kwargs.update(overrides)
     return PopulationSpec(**kwargs)
 
@@ -30,14 +33,15 @@ def small_spec(**overrides):
 class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("n_group0", 0), ("n_group1", -5),
-        ("target_positive_rate_group0", 0.0),
-        ("target_positive_rate_group1", 1.0),
+        ("positive_rate_group0", 0.0),
+        ("positive_rate_group1", 1.0),
         ("feature_dim", 1), ("proxy_strength", 1.5),
         ("noise_scale", 0.0), ("score_concentration", -1.0),
         ("noise_scale", math.nan), ("noise_scale", math.inf),
         ("score_concentration", math.nan), ("score_concentration", math.inf),
         ("n_group0", math.nan), ("n_group1", math.nan), ("feature_dim", math.nan),
-        ("n_group1", 1.5), ("seed", math.nan), ("seed", 1.5), ("seed", -1),
+        ("n_group1", 1.5), ("feature_dim", 2.5), ("proxy_strength", math.nan),
+        ("positive_rate_group0", math.nan), ("positive_rate_group1", math.inf),
     ])
     def test_invalid_spec_names_field(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -172,36 +176,36 @@ class TestGeneratePopulation:
     def test_table_shaped_calibration(self):
         # full-size marginals: 1,296/10,653 and 64,536/119,340
         spec = PopulationSpec(n_group0=119340, n_group1=10653,
-                              target_positive_rate_group0=64536 / 119340,
-                              target_positive_rate_group1=1296 / 10653,
-                              seed=3)
-        pop = generate_population(spec)
+                              positive_rate_group0=64536 / 119340,
+                              positive_rate_group1=1296 / 10653)
+        pop = generate_population(spec, 3)
         assert len(pop) == 129993
-        assert abs(positive_rate(pop, 0) - spec.target_positive_rate_group0) < 0.01
-        assert abs(positive_rate(pop, 1) - spec.target_positive_rate_group1) < 0.01
+        assert abs(positive_rate(pop, 0) - spec.positive_rate_group0) < 0.01
+        assert abs(positive_rate(pop, 1) - spec.positive_rate_group1) < 0.01
 
     def test_symmetric_rates(self):
         spec = small_spec(n_group0=10000, n_group1=10000,
-                          target_positive_rate_group0=0.5,
-                          target_positive_rate_group1=0.5)
-        pop = generate_population(spec)
+                          positive_rate_group0=0.5,
+                          positive_rate_group1=0.5)
+        pop = generate_population(spec, SEED)
         assert abs(positive_rate(pop, 0) - positive_rate(pop, 1)) < 0.02
 
     def test_determinism(self):
         spec = small_spec(n_group0=500, n_group1=300)
-        assert same_population(generate_population(spec), generate_population(spec))
+        assert same_population(generate_population(spec, SEED), generate_population(spec, SEED))
 
     def test_seed_changes_output(self):
-        a = generate_population(small_spec(n_group0=500, n_group1=300, seed=1))
-        b = generate_population(small_spec(n_group0=500, n_group1=300, seed=2))
+        a = generate_population(small_spec(n_group0=500, n_group1=300), 1)
+        b = generate_population(small_spec(n_group0=500, n_group1=300), 2)
         assert not same_population(a, b)
 
     def test_working_set_stays_near_the_returned_columns(self):
-        spec = population_spec(load_config(bundled_config_path("experiment_A.cfg")))
-        generate_population(small_spec(n_group0=20, n_group1=20))  # import scipy.special first
+        config = load_config(bundled_config_path("experiment_A.cfg"))
+        # import scipy.special first
+        generate_population(small_spec(n_group0=20, n_group1=20), SEED)
         tracemalloc.start()
         try:
-            pop = generate_population(spec)
+            pop = generate_population(config.population, population_seed(config))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -211,7 +215,7 @@ class TestGeneratePopulation:
         assert peak <= 1.4 * columns
 
     def test_record_shape(self):
-        pop = generate_population(small_spec(n_group0=200, n_group1=100))
+        pop = generate_population(small_spec(n_group0=200, n_group1=100), SEED)
         assert len(pop) == 300
         assert sorted(pop.id.tolist()) == list(range(300))
         assert pop.features.shape == (300, 4)
@@ -219,13 +223,13 @@ class TestGeneratePopulation:
 
     @pytest.mark.parametrize("rho", [0.0, 0.4, 0.8, 1.0])
     def test_proxy_correlation(self, rho):
-        pop = generate_population(small_spec(proxy_strength=rho))
+        pop = generate_population(small_spec(proxy_strength=rho), SEED)
         g = pop.group.astype(float)
         proxy = pop.features[:, -1]
         assert abs(np.corrcoef(g, proxy)[0, 1] - rho) < 0.05
 
     def test_informative_features_track_score(self):
-        pop = generate_population(small_spec(noise_scale=0.5))
+        pop = generate_population(small_spec(noise_scale=0.5), SEED)
         s = pop.score
         f0 = pop.features[:, 0]
         assert np.corrcoef(s, f0)[0, 1] > 0.5
@@ -236,9 +240,9 @@ class TestGeneratePopulation:
         dict(proxy_strength=0.0), dict(proxy_strength=1.0),
         dict(noise_scale=0.37, score_concentration=4.5)])
     def test_matches_exact_oracle(self, overrides, seed):
-        spec = small_spec(**{"n_group0": 3000, "n_group1": 700, "seed": seed, **overrides})
-        pop = generate_population(spec)
-        want = generate_population_exact_oracle(spec)
+        spec = small_spec(**{"n_group0": 3000, "n_group1": 700, **overrides})
+        pop = generate_population(spec, seed)
+        want = generate_population_exact_oracle(spec, seed)
         for name, column in zip(("id", "group", "score", "features"), want):
             assert np.array_equal(getattr(pop, name), column), name
             assert getattr(pop, name).dtype == column.dtype, name
@@ -249,8 +253,8 @@ def bundled_calibrations():
     cases = set()
     for name in ("experiment_A.cfg", "experiment_B.cfg"):
         spec = load_config(bundled_config_path(name)).population
-        cases |= {(spec.target_positive_rate_group0, spec.score_concentration),
-                  (spec.target_positive_rate_group1, spec.score_concentration)}
+        cases |= {(spec.positive_rate_group0, spec.score_concentration),
+                  (spec.positive_rate_group1, spec.score_concentration)}
     return sorted(cases)
 
 
@@ -311,15 +315,15 @@ class TestCalibration:
     def test_unreachable_rate_names_rate_and_concentration(self, rate):
         with pytest.raises(ValidationError, match=rf"score_concentration 1\.0 to positive "
                                                   rf"rate {rate!r}: .* same sign"):
-            generate_population(small_spec(target_positive_rate_group1=rate,
-                                           score_concentration=1.0))
+            generate_population(small_spec(positive_rate_group1=rate, score_concentration=1.0),
+                                SEED)
 
     def test_non_convergence_names_rate_and_concentration(self, monkeypatch):
         monkeypatch.setattr(datagen, "_brentq", lambda *args, **kw: _brentq(*args, **kw,
                                                                             maxiter=3))
         with pytest.raises(ValidationError, match=r"score_concentration 2\.0 to positive "
                                                   r"rate 0\.541: no convergence in 3 "):
-            generate_population(small_spec(score_concentration=2.0))
+            generate_population(small_spec(score_concentration=2.0), SEED)
 
 
 class TestBrentq:
@@ -389,19 +393,19 @@ class TestBrentq:
 
 class TestBaseDatasetA:
     def test_size_and_balance(self):
-        pop = generate_population(small_spec())
+        pop = generate_population(small_spec(), SEED)
         base = make_base_dataset_A(pop, seed=7)
         assert len(base) == 12000
         frac1 = np.mean(base.group)
         assert abs(frac1 - 0.5) < 3 * math.sqrt(0.25 / len(base))
 
     def test_rates_balanced_after_reassignment(self):
-        pop = generate_population(small_spec())
+        pop = generate_population(small_spec(), SEED)
         base = make_base_dataset_A(pop, seed=7)
         assert abs(positive_rate(base, 0) - positive_rate(base, 1)) < 0.02
 
     def test_scores_and_features_unchanged(self):
-        pop = generate_population(small_spec(n_group0=400, n_group1=200))
+        pop = generate_population(small_spec(n_group0=400, n_group1=200), SEED)
         base = make_base_dataset_A(pop, seed=7)
         originals = pop.take(pop.group == 0)
         assert set(base.id.tolist()) == set(originals.id.tolist())
@@ -417,26 +421,26 @@ class TestBaseDatasetA:
             make_base_dataset_A(pop, seed=1)
 
     def test_determinism(self):
-        pop = generate_population(small_spec(n_group0=400, n_group1=200))
+        pop = generate_population(small_spec(n_group0=400, n_group1=200), SEED)
         assert same_population(make_base_dataset_A(pop, 9), make_base_dataset_A(pop, 9))
 
 
 class TestBaseDatasetB:
     def test_identity(self):
-        pop = generate_population(small_spec(n_group0=300, n_group1=200))
+        pop = generate_population(small_spec(n_group0=300, n_group1=200), SEED)
         assert same_population(make_base_dataset_B(pop), pop)
 
     def test_rates_preserved(self):
         spec = small_spec()
-        pop = generate_population(spec)
+        pop = generate_population(spec, SEED)
         base = make_base_dataset_B(pop)
         assert positive_rate(base, 0) == pytest.approx(
-            spec.target_positive_rate_group0, abs=0.01)
+            spec.positive_rate_group0, abs=0.01)
         assert positive_rate(base, 1) == pytest.approx(
-            spec.target_positive_rate_group1, abs=0.01)
+            spec.positive_rate_group1, abs=0.01)
 
     def test_minimum_feature_dim_passes_through(self):
-        pop = generate_population(small_spec(n_group0=50, n_group1=50, feature_dim=2))
+        pop = generate_population(small_spec(n_group0=50, n_group1=50, feature_dim=2), SEED)
         assert same_population(make_base_dataset_B(pop), pop)
 
     def test_empty_errors(self):
@@ -446,7 +450,7 @@ class TestBaseDatasetB:
 
 class TestCsvExport:
     def test_roundtrip(self, tmp_path):
-        pop = generate_population(small_spec(n_group0=60, n_group1=40))
+        pop = generate_population(small_spec(n_group0=60, n_group1=40), SEED)
         path = tmp_path / "pop.csv"
         write_population_csv(pop, path)
         with open(path, newline="") as fh:

@@ -3,7 +3,7 @@ import csv
 import json
 import math
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,8 +24,8 @@ from fairaudit.errors import DegenerateDatasetError, NumericalFailureError, Vali
 from conftest import same_population
 
 SMALL_POP = PopulationSpec(n_group0=1500, n_group1=1500,
-                           target_positive_rate_group0=0.5408,
-                           target_positive_rate_group1=0.1217,
+                           positive_rate_group0=0.5408,
+                           positive_rate_group1=0.1217,
                            noise_scale=3.0)
 
 
@@ -75,8 +75,8 @@ class TestConfig:
         assert cfg.biased_sample_policy == BIASED_SAMPLE_POLICY
         assert cfg.unbiased_sample_policy == UNBIASED_SAMPLE_POLICY
         assert cfg.population == DEFAULT_POPULATION
-        assert cfg.population.target_positive_rate_group0 == pytest.approx(0.5408)
-        assert cfg.population.target_positive_rate_group1 == pytest.approx(0.1217)
+        assert cfg.population.positive_rate_group0 == pytest.approx(0.5408)
+        assert cfg.population.positive_rate_group1 == pytest.approx(0.1217)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -115,13 +115,12 @@ class TestConfig:
         (ModelParams, "prediction_threshold"): math.nan,
         (PopulationSpec, "n_group0"): 0,
         (PopulationSpec, "n_group1"): 1.5,
-        (PopulationSpec, "target_positive_rate_group0"): 1.0,
-        (PopulationSpec, "target_positive_rate_group1"): 0.0,
+        (PopulationSpec, "positive_rate_group0"): 1.0,
+        (PopulationSpec, "positive_rate_group1"): 0.0,
         (PopulationSpec, "feature_dim"): 1,
         (PopulationSpec, "proxy_strength"): 1.1,
         (PopulationSpec, "noise_scale"): math.inf,
         (PopulationSpec, "score_concentration"): 0.0,
-        (PopulationSpec, "seed"): math.nan,
         (ExperimentConfig, "experiment"): "C",
         (ExperimentConfig, "population"): math.nan,
         (ExperimentConfig, "biased_label_policy"): BIASED_SAMPLE_POLICY,
@@ -177,8 +176,8 @@ class TestConfig:
         (ModelParams, "tolerance"): (True, REAL),
         (ModelParams, "train_fraction"): (True, OPEN),
         (ModelParams, "prediction_threshold"): (False, REAL),
-        (PopulationSpec, "target_positive_rate_group0"): (True, OPEN),
-        (PopulationSpec, "target_positive_rate_group1"): (False, OPEN),
+        (PopulationSpec, "positive_rate_group0"): (True, OPEN),
+        (PopulationSpec, "positive_rate_group1"): (False, OPEN),
         (PopulationSpec, "proxy_strength"): (True, REAL),
         (PopulationSpec, "noise_scale"): (True, REAL),
         (PopulationSpec, "score_concentration"): (True, REAL),
@@ -217,6 +216,12 @@ class TestConfig:
                      lambda: ModelParams(lam=True, max_iters=1.5), id="types in order"),
         pytest.param("trials must be >= 1, got 0",
                      lambda: ExperimentConfig(population=math.nan, trials=0), id="range first"),
+        pytest.param("n_group0 must be an integer, got 1.5",
+                     lambda: PopulationSpec(1.5, 2.5, .5, .5), id="population types in order"),
+        pytest.param("score_concentration must be positive and finite, got 0",
+                     lambda: PopulationSpec(12, 10, .5, .5, feature_dim=2.5,
+                                            score_concentration=0),
+                     id="population range first"),
     ])
     def test_which_of_two_bad_fields_is_named(self, message, make):
         with pytest.raises(ValidationError) as raised:
@@ -255,8 +260,7 @@ class TestConfig:
         assert str(raised.value) == message
 
     def test_integer_fields_take_numpy_integers_and_negative_base_seeds(self):
-        spec = replace(DEFAULT_POPULATION, n_group0=np.int64(40), feature_dim=np.int32(3),
-                       seed=np.uint64(7))
+        spec = replace(DEFAULT_POPULATION, n_group0=np.int64(40), feature_dim=np.int32(3))
         config = ExperimentConfig(population=spec, model=ModelParams(max_iters=np.int64(5)),
                                   trials=np.int16(2), base_seed=-1, min_cell_count=np.int8(1))
         assert config.base_seed == -1
@@ -477,8 +481,8 @@ class TestConfigSchema:
         config = ExperimentConfig(
             experiment="B",
             population=PopulationSpec(
-                n_group0=1001, n_group1=999, target_positive_rate_group0=0.45,
-                target_positive_rate_group1=0.2, feature_dim=3, proxy_strength=0.6,
+                n_group0=1001, n_group1=999, positive_rate_group0=0.45,
+                positive_rate_group1=0.2, feature_dim=3, proxy_strength=0.6,
                 noise_scale=2.5, score_concentration=1.5),
             biased_label_policy=LabelPolicy(0.35, 0.65),
             unbiased_label_policy=LabelPolicy(0.45, 0.55),
@@ -503,6 +507,14 @@ class TestConfigSchema:
         assert all(v != defaults[k] for k, v in values.items())
         sections = {s.replace(".", "_"): s
                     for s in read_ini(bundled_config_path(BUNDLED_CONFIGS[0])).sections()}
+        # the leaves are every field that holds no section, so a file can set each
+        field_name = {key: name for name, key in harness._RENAMED.items()}
+        covered = {(ExperimentConfig, k) if kk is None else
+                   (type(getattr(config, _CONFIG_NAMES[sections[k]][0])), field_name.get(kk, kk))
+                   for k, kk in values}
+        assert covered == {(type(part), f.name) for part in (
+            config, config.population, config.biased_label_policy, config.biased_sample_policy,
+            config.model) for f in fields(part) if not is_dataclass(getattr(part, f.name))}
         parser = configparser.ConfigParser()
         parser["experiment"] = {("name" if k == "experiment" else k): str(v)
                                 for k, v in out.items() if not isinstance(v, dict)}
@@ -534,14 +546,14 @@ class TestConfigSchema:
 
     def test_rename_table_names_fields_and_keeps_keys_distinct(self):
         # each field of a section's dataclass is a key under its own name or its
-        # rename; fields that hold a section, and PopulationSpec.seed (drawn from
-        # base_seed), are no key
+        # rename; only the six fields that hold a section are no key
         default = ExperimentConfig()
         parts = {target: getattr(default, target) if target else default
                  for target, _ in _CONFIG_NAMES.values()}
         names = {(target, f.name) for target, part in parts.items() for f in fields(part)}
-        assert set(harness._RENAMED) <= {name for _, name in names}
-        unkeyed = {("", target) for target in parts if target} | {("population", "seed")}
+        assert harness._RENAMED == {"experiment": "name", "lam": "lambda"}
+        unkeyed = {("", f.name) for f in fields(default) if is_dataclass(getattr(default, f.name))}
+        assert len(unkeyed) == 6
         keyed = {(target, name) for target, keys in _CONFIG_NAMES.values()
                  for name in keys.values()}
         assert names - keyed == unkeyed

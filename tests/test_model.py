@@ -447,9 +447,8 @@ class TestFitMatchesOracle:
                              ids=["dataset1", "dataset2", "dataset3", "dataset4"])
     def test_bit_identical_on_grid_cells(self, spec, base, seed):
         pop = generate_population(PopulationSpec(
-            n_group0=1000, n_group1=500, target_positive_rate_group0=0.5408,
-            target_positive_rate_group1=0.1217, feature_dim=3, noise_scale=3.0,
-            seed=seed))
+            n_group0=1000, n_group1=500, positive_rate_group0=0.5408,
+            positive_rate_group1=0.1217, feature_dim=3, noise_scale=3.0), seed)
         if base == "A":
             pop = make_base_dataset_A(pop, seed=seed + 2)
         train, _ = split(trial_dataset(ExperimentConfig(), spec, seed + 3, pop), 0.7,

@@ -597,12 +597,15 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: {error.__name__} raised\n"
 
 
-def test_entry_exits_with_mains_code(monkeypatch, tmp_path, capsys):
-    predictions = tmp_path / "p.csv"
-    predictions.write_text(FIXTURE_CSV_HEADER + "".join(fixture_rows()))
+@pytest.fixture
+def passing_and_failing_argv(fixture_csv, tmp_path):
+    return (["audit", "--input", fixture_csv, "--out", str(tmp_path / "r.json")],
+            ["rank", "--report", str(tmp_path / "missing.json"), "--metric", "nmi"])
+
+
+def test_entry_exits_with_mains_code(monkeypatch, passing_and_failing_argv):
     codes = []
-    for args in (["audit", "--input", str(predictions), "--out", str(tmp_path / "r.json")],
-                 ["rank", "--report", str(tmp_path / "missing.json"), "--metric", "nmi"]):
+    for args in passing_and_failing_argv:
         codes.append(main(args))
         monkeypatch.setattr(sys, "argv", ["fairaudit", *args])
         with pytest.raises(SystemExit) as exited:
@@ -611,13 +614,28 @@ def test_entry_exits_with_mains_code(monkeypatch, tmp_path, capsys):
     assert codes == [0, 2]
 
 
-def run_fresh_python(code):
-    """Standard output of code run by a new interpreter that imports this fairaudit."""
+def fresh_python(*args):
+    """A new interpreter, run with args, that imports this fairaudit."""
     src = str(Path(fairaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_fresh_python(code):
+    """Standard output of code run by a new interpreter that imports this fairaudit."""
+    ran = fresh_python("-c", code)
+    ran.check_returncode()
+    return ran.stdout
+
+
+def test_module_run_exits_and_prints_like_main(passing_and_failing_argv, capsys):
+    for args in passing_and_failing_argv:
+        ran = fresh_python("-m", "fairaudit.cli", *args)
+        code = main(args)
+        captured = capsys.readouterr()
+        assert (ran.returncode, ran.stdout, ran.stderr) == (code, captured.out,
+                                                           captured.err), args
 
 
 def test_import_leaves_scipy_unloaded():

@@ -4,10 +4,12 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairaudit
 from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY,
                        UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY, BiasSpec,
                        ExperimentConfig, ExperimentReport, LabelPolicy, ModelParams,
@@ -273,6 +275,14 @@ class TestConfig:
         assert b.model.include_group_feature is False
         assert a.biased_label_policy == BIASED_LABEL_POLICY
         assert a.biased_sample_policy == BIASED_SAMPLE_POLICY
+
+    def test_bundled_configs_ship_in_the_package(self):
+        # run against an installed package, this shows the configs are package data
+        configs = Path(fairaudit.__file__).parent / "configs"
+        for name in ("A", "B"):
+            path = bundled_config_path(f"experiment_{name}.cfg")
+            assert Path(path).parent == configs
+            assert load_config(path).experiment == name
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):

@@ -36,9 +36,20 @@ def run_snippet(*markers):
     return namespace
 
 
+def listed_pieces(text):
+    """The backticked names of text's "Lower-level pieces (...)" list, read up to the
+    parenthesis that closes it, so a name may be written with its arguments."""
+    pieces = re.search(r"Lower-level pieces \(((?:[^()]|\([^()]*\))*)\)", text).group(1)
+    return re.findall(r"`(\w+)[`(]", pieces)
+
+
+def test_listed_pieces_read_past_argument_lists():
+    text = "Lower-level pieces (`generate_population(spec, seed)`, `fit`) are importable"
+    assert listed_pieces(text) == ["generate_population", "fit"]
+
+
 def test_listed_names_import():
-    pieces = re.search(r"Lower-level pieces \((.*?)\)", LIBRARY, re.S).group(1)
-    names = {("fairaudit", name) for name in re.findall(r"`(\w+)`", pieces)}
+    names = {("fairaudit", name) for name in listed_pieces(LIBRARY)}
     assert names, "no lower-level pieces listed"
     for block in BLOCKS:
         for node in ast.walk(ast.parse(block)):

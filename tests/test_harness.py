@@ -735,13 +735,35 @@ class TestRunExperiment:
         assert all("leaves the test set empty" in t.error
                    for r in report.datasets.values() for t in r.failures)
 
-    def test_numerical_failure_fails_only_its_trial(self, monkeypatch):
-        real_fit, real_objective = harness.fit, model_module._objective
+    def test_trial_results_do_not_depend_on_run_order(self, empty_test_set_report):
+        # each trial rerun alone, last to first, gives what run_experiment reported,
+        # failures included (this config fails three trials)
+        cfg = EMPTY_TEST_SET_CONFIG
+        base = build_base(cfg)
+        for k in reversed(range(1, 5)):
+            for t in reversed(range(cfg.trials)):
+                reported = empty_test_set_report.datasets[k].trials[t]
+                try:
+                    rerun = run_trial(cfg, ALL_BIAS_SPECS[k - 1],
+                                      stable_hash(cfg.base_seed, k, t), base=base).to_json_dict()
+                except (DegenerateDatasetError, NumericalFailureError) as e:
+                    rerun = str(e)
+                assert rerun == (reported.report.to_json_dict() if reported.report
+                                 else reported.error)
 
-        def fit_first_with_nan_objective(train, params):
-            # only the first fit, dataset 1's trial 0, sees an objective that turns
-            # NaN after its first call
-            monkeypatch.setattr(harness, "fit", real_fit)
+    def test_numerical_failure_fails_only_its_trial(self, monkeypatch):
+        cfg = small_config(trials=2)
+        real_fit, real_objective = harness.fit, model_module._objective
+        seed = stable_hash(99, 1, 0)
+        target = split(trial_dataset(cfg, ALL_BIAS_SPECS[0], stable_hash(seed, "sample"),
+                                     build_base(cfg)),
+                       cfg.model.train_fraction, stable_hash(seed, "split"))[0]
+
+        def fit_with_nan_objective_on_target(train, params):
+            # only dataset 1's trial 0, picked by its training set and not by the
+            # order trials run in, sees an objective that turns NaN after its first call
+            if not np.array_equal(train.id, target.id):
+                return real_fit(train, params)
             calls = []
 
             def objective(*args):
@@ -752,8 +774,8 @@ class TestRunExperiment:
                 patch.setattr(model_module, "_objective", objective)
                 return real_fit(train, params)
 
-        monkeypatch.setattr(harness, "fit", fit_first_with_nan_objective)
-        report = run_experiment(small_config(trials=2))
+        monkeypatch.setattr(harness, "fit", fit_with_nan_objective_on_target)
+        report = run_experiment(cfg)
         failures = report.to_json_dict()["datasets"]["1"]["failures"]
         assert failures == [{"trial": 0, "seed": stable_hash(99, 1, 0),
                              "error": "non-finite objective during optimization"}]

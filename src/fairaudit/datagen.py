@@ -3,7 +3,10 @@
 Scores per group are drawn from a Beta family whose parameters are solved
 numerically so that the mass above 0.5 matches the group's target positive
 rate; the positive count is made exact (up to rounding) by inverse-CDF
-sampling conditional on each side of the 0.5 cutoff.
+sampling conditional on each side of the 0.5 cutoff. The inversion, about 1 us
+per score, is split into contiguous chunks on up to one thread per CPU the
+process may run on, all joined before `generate_population` returns; the
+chunks are elementwise, so the CPU count changes no output bit.
 
 The only scipy used is `scipy.special` (the regularized incomplete beta
 function and its inverse), imported inside the functions that use it, so
@@ -17,6 +20,8 @@ of the benchmark's 0.4-0.5 s experiment set-up.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +33,9 @@ SCORE_CLAMP = 1e-6
 # rows formatted per write by write_population_csv; bounds the text held at once
 # (about 0.5 MB of lists and text at any population size; larger chunks write no faster)
 _WRITE_CHUNK_ROWS = 1024
+# fewest Beta quantiles (about 1 us each to invert) one thread takes, so groups below
+# twice this, such as the bundled group 1's 3,551 rows, stay on the calling thread
+_MIN_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -231,6 +239,59 @@ def _beta_shape(rate: float, concentration: float) -> tuple[float, float]:
     return a, concentration - a
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _betaincinv(a: float, b: float, q: np.ndarray) -> np.ndarray:
+    """scipy.special.betaincinv(a, b, q), bit for bit, inverted in contiguous chunks of
+    at least _MIN_CHUNK values on up to one thread per CPU.
+
+    betaincinv is elementwise and releases the GIL, so the chunks run concurrently. The
+    calling thread inverts the first chunk and joins the helper threads before this
+    returns or raises; a helper's exception is raised again here. Each chunk runs under
+    the caller's scipy.special error state, which is thread-local, so a chunk raises
+    where the serial call raises.
+    """
+    from scipy import special
+
+    chunks = min(_cpu_count(), q.size // _MIN_CHUNK)
+    if chunks < 2:
+        return special.betaincinv(a, b, q)
+
+    scores = np.empty_like(q)
+    bounds = [q.size * i // chunks for i in range(chunks + 1)]
+    state = special.geterr()
+    failures = {}  # chunk start -> the exception its helper raised
+
+    def invert(lo, hi):
+        try:
+            with special.errstate(**state):
+                special.betaincinv(a, b, q[lo:hi], out=scores[lo:hi])
+        except Exception as e:
+            failures[lo] = e
+
+    # plain threads: a short-lived ThreadPoolExecutor here raised the export_csv
+    # benchmark's peak RSS by about 2 MB in most runs
+    helpers = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            helper = threading.Thread(target=invert, args=(lo, hi))
+            helper.start()
+            helpers.append(helper)
+        special.betaincinv(a, b, q[:bounds[1]], out=scores[:bounds[1]])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return scores
+
+
 def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     """Draw n Beta scores with an exact (rounded) count of scores >= 0.5."""
     from scipy import special
@@ -238,15 +299,21 @@ def _group_scores(rng, n: int, rate: float, concentration: float) -> np.ndarray:
     a, b = _beta_shape(rate, concentration)
     k = int(round(n * rate))
     split = special.betainc(a, b, 0.5)
-    u = rng.random(n)
+    # the quantiles, in place: split + u * (1 - split) for the k draws above the cutoff,
+    # u * split below it
+    q = rng.random(n)
+    q[:k] *= 1.0 - split
+    q[:k] += split
+    q[k:] *= split
     # the inverse CDF: scipy.stats.beta.ppf runs the same Boost inversion and
     # matches it bit for bit except where that inversion gives up with a warning
     # (quantiles below about 1e-100 at some shapes)
-    high = special.betaincinv(a, b, split + u[:k] * (1.0 - split))
-    low = special.betaincinv(a, b, u[k:] * split)
+    scores = _betaincinv(a, b, q)
     # guard the cutoff against ppf roundoff so the positive count is exact
-    return np.concatenate([np.clip(high, 0.5, 1.0, out=high),
-                           np.clip(low, 0.0, np.nextafter(0.5, 0.0), out=low)])
+    high, low = scores[:k], scores[k:]
+    np.clip(high, 0.5, 1.0, out=high)
+    np.clip(low, 0.0, np.nextafter(0.5, 0.0), out=low)
+    return scores
 
 
 def generate_population(spec: PopulationSpec, seed: int) -> Population:

@@ -143,20 +143,36 @@ def binary_exact_oracle(name, values):
     return values.astype(np.int64, copy=False)
 
 
+def _group_scores_exact_oracle(rng, n, rate, concentration):
+    """datagen._group_scores as one serial scipy.special.betaincinv call per side of the
+    0.5 cutoff, each side clipped, then concatenated."""
+    from scipy import special
+
+    from fairaudit.datagen import _beta_shape
+
+    a, b = _beta_shape(rate, concentration)
+    k = int(round(n * rate))
+    split = special.betainc(a, b, 0.5)
+    u = rng.random(n)
+    high = special.betaincinv(a, b, split + u[:k] * (1.0 - split))
+    low = special.betaincinv(a, b, u[k:] * split)
+    return np.concatenate([np.clip(high, 0.5, 1.0), np.clip(low, 0.0, np.nextafter(0.5, 0.0))])
+
+
 def generate_population_exact_oracle(spec, seed):
     """(id, group, score, features) of generate_population(spec, seed), built with a 0/1
     group column concatenated and permuted with the scores, and a new array for
     every step of the logits and features."""
-    from fairaudit.datagen import SCORE_CLAMP, _group_scores
+    from fairaudit.datagen import SCORE_CLAMP
 
     rng = np.random.default_rng(seed)
     d = spec.feature_dim
     slopes = rng.uniform(0.5, 1.5, size=d - 1)
 
-    s0 = _group_scores(rng, spec.n_group0, spec.positive_rate_group0,
-                       spec.score_concentration)
-    s1 = _group_scores(rng, spec.n_group1, spec.positive_rate_group1,
-                       spec.score_concentration)
+    s0 = _group_scores_exact_oracle(rng, spec.n_group0, spec.positive_rate_group0,
+                                    spec.score_concentration)
+    s1 = _group_scores_exact_oracle(rng, spec.n_group1, spec.positive_rate_group1,
+                                    spec.score_concentration)
     scores = np.concatenate([s0, s1])
     groups = np.concatenate([np.zeros(spec.n_group0, dtype=int),
                              np.ones(spec.n_group1, dtype=int)])

@@ -1,6 +1,9 @@
 import csv
 import math
+import os
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from fairaudit import (Population, PopulationSpec, generate_population,
                        write_population_csv)
 from fairaudit import datagen
 from fairaudit.bias import write_labeled_csv
-from fairaudit.datagen import _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq, _group_scores
+from fairaudit.datagen import (_MIN_CHUNK, _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq,
+                               _group_scores)
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from fairaudit.harness import bundled_config_path, load_config, population_seed
 from conftest import make_population, positive_rate, same_population
@@ -324,6 +328,74 @@ class TestCalibration:
         with pytest.raises(ValidationError, match=r"score_concentration 2\.0 to positive "
                                                   r"rate 0\.541: no convergence in 3 "):
             generate_population(small_spec(score_concentration=2.0), SEED)
+
+
+class TestThreadedInversion:
+    """_group_scores inverts its quantiles in chunks on up to one thread per CPU; the
+    CPU count must not move a bit, and no thread may outlive the call."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_group0", [None, _MIN_CHUNK - 1, _MIN_CHUNK + 1, 2 * _MIN_CHUNK],
+                             ids=["bundled", "below-min-chunk", "above-min-chunk",
+                                  "two-min-chunks"])
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, cpus, n_group0):
+        # the bundled spec is 39,780 + 3,551 rows: group 0 splits into min(cpus, 9)
+        # chunks and group 1 stays inline; 2 * _MIN_CHUNK is the smallest group that splits
+        config = load_config(bundled_config_path("experiment_A.cfg"))
+        spec, seed = config.population, population_seed(config)
+        if n_group0 is not None:
+            spec, seed = replace(spec, n_group0=n_group0), SEED
+        monkeypatch.setattr(datagen, "_cpu_count", lambda: cpus)
+        threads = threading.active_count()
+        pop = generate_population(spec, seed)
+        assert threading.active_count() == threads
+        want = generate_population_exact_oracle(spec, seed)
+        for name, column in zip(("id", "group", "score", "features"), want):
+            assert np.array_equal(getattr(pop, name), column), name
+            assert getattr(pop, name).dtype == column.dtype, name
+
+    def test_cpu_count_reads_the_affinity_mask(self):
+        cpus = datagen._cpu_count()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_special_function_error_raises_as_the_serial_call_does(self, monkeypatch, cpus):
+        from scipy import special
+
+        monkeypatch.setattr(datagen, "_cpu_count", lambda: cpus)
+        # betaincinv underflows on many of these draws, in every chunk
+        spec = small_spec(n_group0=4 * _MIN_CHUNK, score_concentration=0.01)
+        with special.errstate(all="raise"), pytest.raises(special.SpecialFunctionError):
+            generate_population(spec, SEED)
+        # only the last quantile underflows, so at 4 CPUs only a helper thread's chunk
+        # does: it must run under the caller's error state, which is thread-local
+        n = 4 * _MIN_CHUNK
+        u = np.full(n, 0.5)
+        u[-1] = 1e-10
+        threads = threading.active_count()
+        with special.errstate(all="raise"), pytest.raises(special.SpecialFunctionError,
+                                                          match="underflow"):
+            _group_scores(FixedDraws(u), n, 0.5, 0.01)
+        assert threading.active_count() == threads
+
+    def test_helper_chunk_exception_reaches_the_caller(self, monkeypatch):
+        from scipy import special
+
+        betaincinv = special.betaincinv
+
+        def failing_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper chunk failed")
+            return betaincinv(*args, **kwargs)
+
+        monkeypatch.setattr(special, "betaincinv", failing_off_the_calling_thread)
+        monkeypatch.setattr(datagen, "_cpu_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            generate_population(small_spec(n_group0=2 * _MIN_CHUNK), SEED)
+        assert threading.active_count() == threads
 
 
 class TestBrentq:

@@ -4,25 +4,25 @@ Scores per group are drawn from a Beta family whose parameters are solved
 numerically so that the mass above 0.5 matches the group's target positive
 rate; the positive count is made exact (up to rounding) by inverse-CDF
 sampling conditional on each side of the 0.5 cutoff. The inversion, about 1 us
-per score, runs in place in contiguous chunks on up to one thread per CPU the
-process may run on (a small group is one chunk on the calling thread), all
-joined before `generate_population` returns; the chunks are elementwise, so the
-CPU count changes no output bit.
+per score, runs in place in contiguous chunks, the first on the calling thread
+and the rest on a thread pool, on up to one thread per CPU the process may run
+on; the pool is joined before `generate_population` returns, and the chunks
+are elementwise, so the CPU count changes no output bit.
 
 The only scipy used is `scipy.special` (the regularized incomplete beta
-function and its inverse), imported inside the functions that use it, so
-commands that never generate a population (`fairaudit audit`, `rank`) do not
-pay for its import. The root finder is a port of scipy's `brentq`, so neither
-`scipy.stats` nor `scipy.optimize` is loaded: importing `brentq` after
-`scipy.special` took 0.14-0.17 s on a 2-vCPU host (scipy 1.17), about a third
-of the benchmark's 0.4-0.5 s experiment set-up.
+function and its inverse), imported inside the functions that use it, as is
+`concurrent.futures`' thread pool, so commands that never generate a
+population (`fairaudit audit`, `rank`) do not pay for their import. The root
+finder is a port of scipy's `brentq`, so neither `scipy.stats` nor
+`scipy.optimize` is loaded: importing `brentq` after `scipy.special` took
+0.14-0.17 s on a 2-vCPU host (scipy 1.17), about a third of the benchmark's
+0.4-0.5 s experiment set-up.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -254,39 +254,28 @@ def _betaincinv(a: float, b: float, q: np.ndarray) -> np.ndarray:
     on up to one thread per CPU.
 
     betaincinv is elementwise and releases the GIL, so the chunks run concurrently. The
-    calling thread inverts the first chunk and joins the helper threads, if any, before
-    this returns or raises; a helper's exception is raised again here. Each chunk runs
+    calling thread inverts the first chunk and a thread pool the others; leaving the pool
+    joins its threads, so none outlives this call. The calling thread's exception wins;
+    otherwise the first failed helper chunk in position order is raised. Each chunk runs
     under the caller's scipy.special error state, which is thread-local, so a chunk
     raises where the serial call raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy import special
 
     chunks = max(1, min(_cpu_count(), q.size // _MIN_CHUNK))
     bounds = [q.size * i // chunks for i in range(chunks + 1)]
     state = special.geterr()
-    failures = {}  # chunk start -> the exception its helper raised
 
     def invert(lo, hi):
-        try:
-            with special.errstate(**state):
-                special.betaincinv(a, b, q[lo:hi], out=q[lo:hi])
-        except Exception as e:
-            failures[lo] = e
+        with special.errstate(**state):
+            special.betaincinv(a, b, q[lo:hi], out=q[lo:hi])
 
-    # plain threads: a short-lived ThreadPoolExecutor here raised the export_csv
-    # benchmark's peak RSS by about 2 MB in most runs
-    helpers = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            helper = threading.Thread(target=invert, args=(lo, hi))
-            helper.start()
-            helpers.append(helper)
+    with ThreadPoolExecutor() as pool:
+        helpers = pool.map(invert, bounds[1:-1], bounds[2:])
         special.betaincinv(a, b, q[:bounds[1]], out=q[:bounds[1]])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
+        list(helpers)
     return q
 
 

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -395,6 +396,49 @@ class TestThreadedInversion:
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper chunk failed"):
             generate_population(small_spec(n_group0=2 * _MIN_CHUNK), SEED)
+        assert threading.active_count() == threads
+
+    def test_first_failed_helper_chunk_in_position_order_is_raised(self, monkeypatch):
+        from scipy import special
+
+        betaincinv = special.betaincinv
+        q = np.linspace(0.1, 0.9, 4 * _MIN_CHUNK)
+        starts = {q[i * _MIN_CHUNK]: i for i in range(4)}  # chunk i's first quantile -> i
+
+        def failing_helper_chunks(a, b, x, **kwargs):
+            i = starts[x[0]]
+            if i == 0:
+                return betaincinv(a, b, x, **kwargs)
+            if i == 1:
+                time.sleep(0.05)  # chunk 1 fails last
+            raise RuntimeError(f"chunk {i}")
+
+        monkeypatch.setattr(special, "betaincinv", failing_helper_chunks)
+        monkeypatch.setattr(datagen, "_cpu_count", lambda: 4)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^chunk 1$"):
+            datagen._betaincinv(2.0, 3.0, q)
+        assert threading.active_count() == threads
+
+    def test_helpers_finish_before_the_calling_chunk_error_propagates(self, monkeypatch):
+        from scipy import special
+
+        betaincinv = special.betaincinv
+        finished = []
+
+        def failing_on_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("calling chunk failed")
+            time.sleep(0.05)
+            finished.append(threading.current_thread())
+            return betaincinv(*args, **kwargs)
+
+        monkeypatch.setattr(special, "betaincinv", failing_on_the_calling_thread)
+        monkeypatch.setattr(datagen, "_cpu_count", lambda: 4)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^calling chunk failed$"):
+            datagen._betaincinv(2.0, 3.0, np.linspace(0.1, 0.9, 4 * _MIN_CHUNK))
+        assert len(finished) == 3
         assert threading.active_count() == threads
 
 

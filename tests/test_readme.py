@@ -1,6 +1,6 @@
 """The README's Library section: every name it lists imports, and its snippets run;
 its Metrics list matches the metric table, and its Results tables match the
-bundled experiments."""
+bundled experiments and their variants with the other model awareness."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ import numpy as np
 from fairaudit import (ALL_BIAS_SPECS, UNBIASED_LABEL_POLICY, UNBIASED_SAMPLE_POLICY,
                        audit, build_dataset, run_trial)
 from fairaudit.harness import build_base, stable_hash
-from fairaudit.metrics import METRIC_NAMES, METRICS
+from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES, METRICS
 from conftest import deviations, same_population
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,10 +100,14 @@ HEADER = "| Dataset | " + " | ".join(f"`{name}`" for name in METRIC_NAMES) + " |
 RULE = "|---" * (1 + len(METRIC_NAMES)) + "|"
 
 
+def standard_error(values):
+    return np.std(values, ddof=1) / np.sqrt(len(values))
+
+
 def results_table(report):
     """Each dataset's 20-trial mean ± standard error (sample sd / sqrt(n)) per metric."""
     rows = [f"| {index} ({BIAS_NAMES[index - 1]}) | " + " | ".join(
-                f"{np.mean(values):.4f} ± {np.std(values, ddof=1) / np.sqrt(len(values)):.4f}"
+                f"{np.mean(values):.4f} ± {standard_error(values):.4f}"
                 for values in map(result.metric_values, METRIC_NAMES)) + " |"
             for index, result in sorted(report.datasets.items())]
     return [HEADER, RULE, *rows]
@@ -146,3 +150,27 @@ def test_results_tables_match_the_bundled_experiments(report_A, report_B):
     for name, report, gates in (("A", report_A, gate_margins_A), ("B", report_B, gate_margins_B)):
         text = results.split(f"\n### Experiment {name}\n", 1)[1].split("\n### ", 1)[0]
         assert tables(text) == [results_table(report), margins_table(gates(report))]
+
+
+def awareness_table(variants):
+    """One row per (name, report) variant: each metric's label-bias response, the change
+    in its deviation from the fair point from D1 to D3, and that change of the trial
+    means in standard errors."""
+    def cell(report, name):
+        v1, v3 = report.datasets[1].metric_values(name), report.datasets[3].metric_values(name)
+        m1, m3, fair = np.mean(v1), np.mean(v3), FAIR_POINTS[name]
+        z = (m3 - m1) / np.hypot(standard_error(v1), standard_error(v3))
+        return f"{abs(m3 - fair) - abs(m1 - fair):+.4f} ({z:+.1f})"
+
+    rows = [f"| {variant} | " + " | ".join(cell(report, name) for name in METRIC_NAMES) + " |"
+            for variant, report in variants]
+    return [HEADER.replace("Dataset", "Variant"), RULE, *rows]
+
+
+def test_awareness_table_matches_the_four_variants(report_A, report_A_unaware,
+                                                   report_B_aware, report_B):
+    text = section("Results").split("\n### Model awareness\n", 1)[1].split("\n### ", 1)[0]
+    assert tables(text) == [awareness_table([("A aware (bundled)", report_A),
+                                             ("A unaware", report_A_unaware),
+                                             ("B aware", report_B_aware),
+                                             ("B unaware (bundled)", report_B)])]

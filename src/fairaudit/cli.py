@@ -114,7 +114,8 @@ def _loadtxt(source, dtype, usecols, skiprows=0):
     """np.loadtxt on a predictions CSV path (or a list of lines), as the audit reads it."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # numpy 1.23-1.26 only warns before it casts 0.7 in an int column to 0
+        # from numpy 1.23 until the deprecation expired, numpy warns, then casts 0.7 in
+        # an int column to 0; numpy 2.4 raises ValueError itself
         warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
                                 DeprecationWarning)
         return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, quotechar='"',

@@ -127,7 +127,6 @@ def _binary(name: str, values) -> np.ndarray:
     """values as contiguous 1-D int64, after checking each is 0 or 1 in its own dtype."""
     # contiguous first: the check reads a strided view (a structured-array field) about 2x slower
     values = _column(name, values)
-    # np.all, not .all(): numpy < 1.25 compares a string array with 0 as one scalar
     if not np.all((values == 0) | (values == 1)):
         raise ValidationError(f"{name} must be 0 or 1")
     return values.astype(np.int64, copy=False)

@@ -288,24 +288,32 @@ class ExperimentReport:
                         writer.writerow([index, name, t.trial, mv.csv_text, mv.status])
 
 
+def run_dataset(config: ExperimentConfig, index: int, base: Population) -> DatasetResult:
+    """Run the trials of bias-grid dataset index (1-4) on base = build_base(config).
+
+    A trial that fails records its error; if every trial fails, the first
+    trial's error type is raised."""
+    trials, first = [], None
+    for t in range(config.trials):
+        seed = stable_hash(config.base_seed, index, t)
+        try:
+            trial_report = run_trial(config, ALL_BIAS_SPECS[index - 1], seed, base=base)
+            trials.append(TrialResult(trial=t, seed=seed, report=trial_report))
+        except (DegenerateDatasetError, NumericalFailureError) as e:
+            first = first or e
+            trials.append(TrialResult(trial=t, seed=seed, report=None, error=str(e)))
+    if all(t.report is None for t in trials):
+        raise type(first)(f"all trials of dataset {index} failed; "
+                          f"trial 0: {first}") from first
+    return DatasetResult(trials)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run trials x 4 bias-grid datasets and aggregate per metric."""
     base = build_base(config)
     report = ExperimentReport(config=config.to_dict())
-    for index, bias_spec in enumerate(ALL_BIAS_SPECS, 1):
-        trials, first = [], None
-        for t in range(config.trials):
-            seed = stable_hash(config.base_seed, index, t)
-            try:
-                trial_report = run_trial(config, bias_spec, seed, base=base)
-                trials.append(TrialResult(trial=t, seed=seed, report=trial_report))
-            except (DegenerateDatasetError, NumericalFailureError) as e:
-                first = first or e
-                trials.append(TrialResult(trial=t, seed=seed, report=None, error=str(e)))
-        if all(t.report is None for t in trials):
-            raise type(first)(f"all trials of dataset {index} failed; "
-                              f"trial 0: {first}") from first
-        report.datasets[index] = DatasetResult(trials)
+    for index in range(1, len(ALL_BIAS_SPECS) + 1):
+        report.datasets[index] = run_dataset(config, index, base)
     return report
 
 

@@ -19,8 +19,8 @@ from fairaudit import (ALL_BIAS_SPECS, BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY
 from fairaudit import harness
 from fairaudit import model as model_module
 from fairaudit.bias import build_dataset
-from fairaudit.harness import (_CONFIG_NAMES, DEFAULT_POPULATION, build_base, trial_dataset,
-                               trial_outcomes)
+from fairaudit.harness import (_CONFIG_NAMES, DEFAULT_POPULATION, build_base, run_dataset,
+                               trial_dataset, trial_outcomes)
 from fairaudit.metrics import FAIR_POINTS, METRIC_NAMES
 from fairaudit.errors import DegenerateDatasetError, NumericalFailureError, ValidationError
 from conftest import same_population
@@ -751,6 +751,20 @@ class TestRunExperiment:
                 assert rerun == (reported.report.to_json_dict() if reported.report
                                  else reported.error)
 
+    def test_run_dataset_matches_run_experiment(self, empty_test_set_report):
+        # each dataset run alone gives what run_experiment reported, trial for trial,
+        # failures included (this config fails three trials)
+        cfg = EMPTY_TEST_SET_CONFIG
+        base = build_base(cfg)
+
+        def outcomes(result):
+            return [(t.trial, t.seed, t.report.to_json_dict() if t.report else t.error)
+                    for t in result.trials]
+
+        for k in reversed(range(1, 5)):
+            assert outcomes(run_dataset(cfg, k, base)) == outcomes(
+                empty_test_set_report.datasets[k])
+
     def test_numerical_failure_fails_only_its_trial(self, monkeypatch):
         cfg = small_config(trials=2)
         real_fit, real_objective = harness.fit, model_module._objective
@@ -784,11 +798,13 @@ class TestRunExperiment:
     def test_all_trials_failing_raises(self):
         cfg = small_config(population=replace(SMALL_POP, n_group0=40, n_group1=40),
                            trials=2, min_cell_count=10)
-        # the message carries the first trial's reason, since no report is written
-        with pytest.raises(DegenerateDatasetError,
-                           match=r"^all trials of dataset 1 failed; trial 0: "
-                           r"cell \(group=0, label=0\) has 6 records, fewer than the minimum 10$"):
-            run_experiment(cfg)
+        # the message carries the first trial's reason, since no report is written;
+        # the dataset run alone raises the same
+        for run in (lambda: run_experiment(cfg), lambda: run_dataset(cfg, 1, build_base(cfg))):
+            with pytest.raises(DegenerateDatasetError,
+                               match=r"^all trials of dataset 1 failed; trial 0: cell "
+                               r"\(group=0, label=0\) has 6 records, fewer than the minimum 10$"):
+                run()
 
 
 class TestReportOutputs:

@@ -21,7 +21,7 @@ import numpy as np
 from . import harness
 # cli calls build_dataset through harness; the name stays because perfbench/tracer.py patches it
 from .bias import build_dataset, write_labeled_csv
-from .datagen import generate_population, write_population_csv
+from .datagen import generate_population, open_output, write_population_csv
 from .errors import DataFormatError, FairauditError, ValidationError, in_unit, parse_number
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, audit
 
@@ -213,14 +213,14 @@ def cmd_audit(args) -> int:
     data = _read_predictions_csv(args.input)
     report = audit(data)
     if os.path.splitext(args.out)[1].lower() == ".csv":
-        with open(args.out, "w", newline="") as fh:
+        with open_output(args.out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value", "status", "detail"])
             for name in METRIC_NAMES:
                 mv = report.metric(name)
                 writer.writerow([name, mv.csv_text, mv.status, mv.detail])
     else:
-        with open(args.out, "w") as fh:
+        with open_output(args.out) as fh:
             json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
     for name in METRIC_NAMES:
@@ -246,7 +246,7 @@ def cmd_experiment(args) -> int:
         if os.path.isdir(path):
             raise ValidationError(f"--out {args.out!r}: {path!r} is a directory")
     report = harness.run_experiment(config)
-    with open(json_path, "w") as fh:
+    with open_output(json_path) as fh:
         fh.write(report.to_json())
     report.write_csv(csv_path)
     print(f"wrote {json_path} and {csv_path}")

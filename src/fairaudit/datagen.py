@@ -21,8 +21,10 @@ finder is a port of scipy's `brentq`, so neither `scipy.stats` nor
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,6 +369,29 @@ def make_base_dataset_B(pop: Population) -> Population:
     return pop
 
 
+@contextlib.contextmanager
+def open_output(path, mode="w", **open_kwargs):
+    """open(path, mode, **open_kwargs) for writing, overwriting an existing file in place.
+
+    The file is opened without O_TRUNC and, when the block exits, also by an error, cut
+    to the length written, so it holds only the new bytes. It keeps its inode, mode,
+    hard links and symlink target. Only a regular file is cut: /dev/null and pipes
+    cannot be. A truncate that frees blocks can stall for tens of milliseconds on a
+    filesystem that discards freed blocks (ext4 mounted with `discard`), and rewriting
+    an output of the same length frees none. A process killed mid-write can leave the
+    old file's tail after the new bytes.
+    """
+    def opener(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, mode, opener=opener, **open_kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_population_csv(pop: Population, path) -> None:
     """Write rows as CSV: id,group,score[,label],f0,...  Reals keep 12 significant digits.
 
@@ -381,10 +406,11 @@ def write_population_csv(pop: Population, path) -> None:
         columns.append(pop.label)
     header += [f"f{j}" for j in range(pop.features.shape[1])]
     columns += list(pop.features.T)
-    # integers as %d, reals as %.12g (the text format(x, ".12g") gives); no field needs quoting
-    row = ",".join("%d" if c.dtype.kind == "i" else "%.12g" for c in columns) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    # integers as %d, reals as %.12g (bytes' % formats floats as format(x, ".12g") does);
+    # no field needs quoting
+    row = b",".join(b"%d" if c.dtype.kind == "i" else b"%.12g" for c in columns) + b"\r\n"
+    with open_output(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, len(pop), _WRITE_CHUNK_ROWS):
             chunk = [c[start:start + _WRITE_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join(map(row.__mod__, zip(*chunk))))
+            fh.write(b"".join(map(row.__mod__, zip(*chunk))))

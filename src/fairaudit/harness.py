@@ -20,7 +20,7 @@ import numpy as np
 from .bias import (BIASED_LABEL_POLICY, BIASED_SAMPLE_POLICY, UNBIASED_LABEL_POLICY,
                    UNBIASED_SAMPLE_POLICY, LabelPolicy, SamplePolicy, build_dataset)
 from .datagen import (Population, PopulationSpec, generate_population,
-                      make_base_dataset_A, make_base_dataset_B)
+                      make_base_dataset_A, make_base_dataset_B, open_output)
 from .errors import (DegenerateDatasetError, NumericalFailureError, ValidationError,
                      parse_number, require, require_types)
 from .metrics import FAIR_POINTS, METRIC_NAMES, GroupedOutcomes, MetricReport, audit
@@ -275,7 +275,7 @@ class ExperimentReport:
 
     def write_csv(self, path) -> None:
         """Flat per-trial table: dataset, metric, trial, value, status."""
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "metric", "trial", "value", "status"])
             for index, result in sorted(self.datasets.items()):

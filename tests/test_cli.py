@@ -475,6 +475,59 @@ class TestExperiment:
         assert not (tmp_path / "r.json").exists()
 
 
+def write_output(kind, out, config, predictions):
+    """Run the command that writes `kind` with --out out, and require exit 0."""
+    argv = {"generate": ["generate", "--config", config],
+            "build": ["build", "--config", config, "--dataset", "2"],
+            "experiment": ["experiment", "--config", config],
+            "audit": ["audit", "--input", predictions]}[kind]
+    assert main(argv + ["--out", str(out)]) == 0
+
+
+class TestOutputs:
+    """Every command overwrites its outputs in place (datagen.open_output)."""
+
+    # each of the five writers; experiment writes report.json and report.csv
+    @pytest.mark.parametrize("kind, name", [
+        ("generate", "pop.csv"), ("build", "d2.csv"), ("experiment", "report"),
+        ("audit", "report.json"), ("audit", "report.csv"),
+    ])
+    def test_rewrite_over_a_longer_file_equals_a_fresh_write(self, one_trial_config,
+                                                            fixture_csv, tmp_path, kind, name):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        fresh.mkdir()
+        old.mkdir()
+        write_output(kind, fresh / name, one_trial_config, fixture_csv)
+        written = sorted(p.name for p in fresh.iterdir())
+        for file in written:
+            (old / file).write_bytes(b"#" * ((fresh / file).stat().st_size + 4096))
+        write_output(kind, old / name, one_trial_config, fixture_csv)
+        assert sorted(p.name for p in old.iterdir()) == written
+        for file in written:
+            assert (old / file).read_bytes() == (fresh / file).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["generate", "audit"])
+    def test_out_to_the_null_device_exits_0(self, one_trial_config, fixture_csv, kind):
+        # the null device is not a regular file, and cannot be truncated
+        write_output(kind, os.devnull, one_trial_config, fixture_csv)
+
+    def test_symlinked_output_keeps_its_target_inode_mode_and_links(
+            self, one_trial_config, fixture_csv, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        write_output("generate", fresh, one_trial_config, fixture_csv)
+        target, hard, link = tmp_path / "target.csv", tmp_path / "hard.csv", tmp_path / "link.csv"
+        target.write_bytes(b"#" * (fresh.stat().st_size + 4096))
+        target.chmod(0o600)
+        os.link(target, hard)
+        link.symlink_to(target)
+        inode = target.stat().st_ino
+        write_output("generate", link, one_trial_config, fixture_csv)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+
+
 def write_rank_report(path, means):
     """An experiment report as rank reads it: dataset key -> its nmi mean."""
     path.write_text(json.dumps({"datasets": {k: {"metrics": {"nmi": {"mean": v}}}

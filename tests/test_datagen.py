@@ -15,7 +15,7 @@ from fairaudit import (Population, PopulationSpec, generate_population,
 from fairaudit import datagen
 from fairaudit.bias import write_labeled_csv
 from fairaudit.datagen import (_MIN_CHUNK, _WRITE_CHUNK_ROWS as CHUNK, _beta_shape, _brentq,
-                               _group_scores)
+                               _group_scores, open_output)
 from fairaudit.errors import DegenerateDatasetError, ValidationError
 from fairaudit.harness import bundled_config_path, load_config, population_seed
 from conftest import make_population, positive_rate, same_population
@@ -635,6 +635,28 @@ class TestCsvExport:
         with pytest.raises(ValidationError, match="unlabeled"):
             write_labeled_csv(make_population([0, 1], [0.2, 0.8]), path)
         assert not path.exists()
+
+
+class TestOpenOutput:
+    @pytest.mark.parametrize("mode", ["wb", "w"])
+    def test_error_mid_write_leaves_only_the_new_prefix(self, tmp_path, mode):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,row\r\n" * 1000)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with open_output(path, mode) as fh:
+                fh.write(b"new" if mode == "wb" else "new")
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"new"
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        ours, builtin = tmp_path / "ours.csv", tmp_path / "builtin.csv"
+        umask = os.umask(0o027)
+        try:
+            with open_output(ours), open(builtin, "w"):
+                pass
+        finally:
+            os.umask(umask)
+        assert ours.stat().st_mode == builtin.stat().st_mode
 
 
 def assert_bytes_match_oracle(pop, tmp_path):
